@@ -230,7 +230,7 @@ class DurablePMA : private serve::WriteObserver {
   bool before_apply(const uint64_t* keys, uint64_t n,
                     bool is_insert) override {
     const uint64_t lsn = next_lsn_;
-    const uint64_t shard = shard_for(keys[0]);
+    const uint64_t shard = serving_->store().shard_for(keys[0]);
     WalWriter& w = wals_[shard];
     bool durable = false;
     io::Status st;
@@ -285,12 +285,6 @@ class DurablePMA : private serve::WriteObserver {
     ++stats_.wal_append_errors;
   }
 
-  uint64_t shard_for(key_type key) const {
-    const std::vector<key_type>& sp = serving_->store().splitters();
-    return static_cast<uint64_t>(
-        std::upper_bound(sp.begin(), sp.end(), key) - sp.begin());
-  }
-
   // Writer lock held. Syncs every segment; the watermark only advances if
   // ALL syncs succeed (records route to shards, so a lagging shard bounds
   // the global guarantee).
@@ -335,19 +329,10 @@ class DurablePMA : private serve::WriteObserver {
       if (!st.ok()) return;
       cut->seq = ckpt_seq_ + 1;
       cut->cut_lsn = next_lsn_ - 1;
-      {
-        // Pin briefly (this thread), copy the shard refs (safe: we hold
-        // the writer lock, the only mutator of the control blocks), drop
-        // the pin before the lambda returns.
-        typename Serving::Snapshot snap = serving_->snapshot();
-        const serve::SnapshotView<Engine>& v = snap.view();
-        std::vector<std::shared_ptr<const Engine>> shards;
-        shards.reserve(v.num_shards());
-        for (uint64_t s = 0; s < v.num_shards(); ++s) {
-          shards.push_back(v.shard_ref(s));
-        }
-        cut->view.emplace(v.splitters(), std::move(shards));
-      }
+      // Pin briefly (this thread) and copy the view — its shard refs are
+      // safe to copy: we hold the writer lock, the only mutator of the
+      // control blocks. The pin drops at the end of the statement.
+      cut->view.emplace(serving_->snapshot().view());
       cut->versions.resize(wals_.size());
       for (uint64_t s = 0; s < wals_.size(); ++s) {
         cut->versions[s] = serving_->store().shard_version(s);

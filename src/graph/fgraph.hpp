@@ -11,7 +11,7 @@
 // Batch updates go straight to Set::insert_batch / remove_batch, which is
 // where F-Graph inherits the paper's parallel batch-update algorithm. Set
 // can be a single engine (CPMA/PMA) or a ShardedPMA — the sharded store
-// exposes the same flattened-leaf surface (pma/flat_leaves.hpp). For
+// exposes the same flattened-leaf surface (pma/sharded_reads.hpp). For
 // serving-layer stores with concurrent readers, see graph/streaming.hpp.
 #pragma once
 

@@ -3,7 +3,8 @@
 // store's leaves.
 //
 // Extracted from FGraphT::prepare() so the same build runs over anything
-// exposing the flattened-leaf surface: a single engine (CPMA), a
+// exposing the flattened-leaf surface: a single engine (CPMA), or any
+// sharded composition through ShardedReads (pma/sharded_reads.hpp) — a
 // ShardedPMA, or a pinned immutable SnapshotView (graph/streaming.hpp).
 // Positions stored in the index are invalidated by ANY update to a
 // mutable source — callers either rebuild after batches (FGraph protocol)

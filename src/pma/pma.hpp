@@ -510,7 +510,7 @@ class PackedMemoryArray {
 
   // First position of leaf l, or nullopt for an empty leaf. The sharded
   // compositions use this to resume a cross-shard scan at the next shard's
-  // first key (pma/flat_leaves.hpp).
+  // first key (ShardedReads::map_from_position, pma/sharded_reads.hpp).
   std::optional<Position> leaf_first_position(uint64_t l) const {
     typename Leaf::Cursor cur;
     if (!Leaf::cursor_begin(leaf_ptr(l), leaf_bytes_, cur)) {

@@ -28,9 +28,11 @@
 //    extract_range (leaf surgery + one direct spread, no full rebuild) and
 //    the receiver absorbs it as a sorted batch. A cheap O(S) key-count probe
 //    gates the byte scan so steady-state batches never pay it.
-//  * Queries: point ops route to one shard; successor/map_range/
-//    map_range_length/iteration stitch shard results in key order (shard
-//    ranges are disjoint and ascending, so concatenation preserves order).
+//  * Reads: the whole read API (point, scan, batch query, iteration and
+//    flattened-leaf reads) is inherited from ShardedReads
+//    (pma/sharded_reads.hpp), the one implementation the serving layer's
+//    snapshots share. This class adds the writes, parallel_map, sum and
+//    check_invariants.
 //
 // The per-shard engines are completely independent: no shared state, no
 // cross-shard locks — the composition is safe under the engine's
@@ -47,8 +49,8 @@
 
 #include "parallel/reduce.hpp"
 #include "parallel/scheduler.hpp"
-#include "pma/flat_leaves.hpp"
 #include "pma/pma.hpp"
+#include "pma/sharded_reads.hpp"
 #include "util/uninitialized.hpp"
 
 namespace cpma::pma {
@@ -82,7 +84,7 @@ struct ShardRouterTimes {
 };
 
 template <typename Engine>
-class ShardedPMA {
+class ShardedPMA : public ShardedReads<ShardedPMA<Engine>, Engine> {
  public:
   using key_type = uint64_t;
   using engine_type = Engine;
@@ -120,7 +122,7 @@ class ShardedPMA {
       set_splitters_from_sorted(keys.data(), keys.size());
     }
     std::vector<uint64_t> bounds;
-    partition_batch(keys.data(), keys.size(), bounds);
+    this->partition_batch(keys.data(), keys.size(), bounds);
     par::parallel_for(0, shards_.size(), [&](uint64_t s) {
       shards_[s].build_from_sorted(keys.data() + bounds[s],
                                    bounds[s + 1] - bounds[s]);
@@ -137,7 +139,9 @@ class ShardedPMA {
   template <typename Loader>
   bool restore_from_checkpoint(std::vector<key_type> splitters,
                                Loader&& load_shard) {
-    if (!empty() || splitters.size() + 1 != shards_.size()) return false;
+    if (!this->empty() || splitters.size() + 1 != shards_.size()) {
+      return false;
+    }
     splitters_ = std::move(splitters);
     par::parallel_for(0, shards_.size(), [&](uint64_t s) {
       std::vector<key_type> keys = load_shard(s);
@@ -147,23 +151,7 @@ class ShardedPMA {
     return true;
   }
 
-  // ---- size & space -------------------------------------------------------
-
-  uint64_t size() const {
-    uint64_t total = 0;
-    for (const Engine& e : shards_) total += e.size();
-    return total;
-  }
-
-  // Short-circuits on the first non-empty shard instead of summing all S
-  // shard sizes — empty() sits on hot guard paths (splitter seeding, the
-  // serving layer's per-op checks) where the O(S) size() walk showed up.
-  bool empty() const {
-    for (const Engine& e : shards_) {
-      if (!e.empty()) return false;
-    }
-    return true;
-  }
+  // ---- space ------------------------------------------------------------
 
   uint64_t get_size() const {
     uint64_t total = sizeof(*this) + splitters_.capacity() * sizeof(key_type);
@@ -195,43 +183,18 @@ class ShardedPMA {
 
   // ---- point operations ---------------------------------------------------
 
-  bool has(key_type key) const { return shards_[shard_for(key)].has(key); }
-
   bool insert(key_type key) {
-    const uint64_t s = shard_for(key);
+    const uint64_t s = this->shard_for(key);
     const bool added = shards_[s].insert(key);
     if (added) ++versions_[s];
     return added;
   }
 
   bool remove(key_type key) {
-    const uint64_t s = shard_for(key);
+    const uint64_t s = this->shard_for(key);
     const bool removed = shards_[s].remove(key);
     if (removed) ++versions_[s];
     return removed;
-  }
-
-  std::optional<key_type> successor(key_type key) const {
-    for (uint64_t s = shard_for(key); s < shards_.size(); ++s) {
-      if (auto v = shards_[s].successor(key)) return v;
-    }
-    return std::nullopt;
-  }
-
-  // Empty set -> nullopt. (These used to return key 0, which is a real,
-  // storable key here — an empty structure was indistinguishable from {0}.)
-  std::optional<key_type> min() const {
-    for (const Engine& e : shards_) {
-      if (auto v = e.min()) return v;
-    }
-    return std::nullopt;
-  }
-
-  std::optional<key_type> max() const {
-    for (uint64_t s = shards_.size(); s-- > 0;) {
-      if (auto v = shards_[s].max()) return v;
-    }
-    return std::nullopt;
   }
 
   // ---- batch operations ---------------------------------------------------
@@ -357,13 +320,6 @@ class ShardedPMA {
  public:
   // ---- scans --------------------------------------------------------------
 
-  // Applies f(key) to every key in sorted order (shard ranges ascend, so
-  // shard-by-shard is global key order).
-  template <typename F>
-  void map(F&& f) const {
-    for (const Engine& e : shards_) e.map(f);
-  }
-
   // Applies f(key) to every key, in parallel across shards AND across each
   // shard's leaves (nested sibling tasks, like the batch dispatch).
   template <typename F>
@@ -373,219 +329,11 @@ class ShardedPMA {
     }, 1);
   }
 
-  // Applies f to keys in [start, end), in order, stitching shards.
-  template <typename F>
-  void map_range(F&& f, key_type start, key_type end) const {
-    if (start >= end) return;
-    for (uint64_t s = shard_for(start); s < shards_.size(); ++s) {
-      // Shard s's lower bound at/after `end` means no further shard
-      // overlaps the range.
-      if (s > 0 && splitters_[s - 1] >= end) break;
-      shards_[s].map_range(f, start, end);
-    }
-  }
-
-  // Applies f to at most `length` keys starting from the smallest key
-  // >= start; returns how many were applied.
-  template <typename F>
-  uint64_t map_range_length(F&& f, key_type start, uint64_t length) const {
-    uint64_t applied = 0;
-    for (uint64_t s = shard_for(start);
-         s < shards_.size() && applied < length; ++s) {
-      applied += shards_[s].map_range_length(f, start, length - applied);
-    }
-    return applied;
-  }
-
   // Parallel sum of all keys: per-shard sums as sibling tasks, each shard
   // summing its leaves in parallel underneath.
   uint64_t sum() const {
     return par::parallel_sum<uint64_t>(
         0, shards_.size(), [&](uint64_t s) { return shards_[s].sum(); }, 1);
-  }
-
-  // ---- batch queries ------------------------------------------------------
-  // Sorted query batches are partitioned against the splitters (the same
-  // gallop as the insert router) and each shard's slice runs as a sibling
-  // task with the engine's full inner parallelism underneath. All slices
-  // write one shared output: bitmap words via relaxed atomic ORs (the
-  // engine's bit protocol), out[] slots per-query exclusive.
-
-  void has_batch(const key_type* keys, uint64_t n, uint64_t* bits,
-                 uint64_t bit_base = 0) const {
-    if (n == 0) return;
-    std::vector<uint64_t> bounds;
-    partition_batch(keys, n, bounds);
-    par::parallel_for(0, shards_.size(), [&](uint64_t s) {
-      const uint64_t b = bounds[s], e = bounds[s + 1];
-      if (e > b) shards_[s].has_batch(keys + b, e - b, bits, bit_base + b);
-    }, 1);
-  }
-
-  std::vector<uint64_t> has_batch(const key_type* keys, uint64_t n) const {
-    std::vector<uint64_t> bits((n + 63) / 64, 0);
-    has_batch(keys, n, bits.data(), 0);
-    return bits;
-  }
-
-  // Per-shard successor_batch, then one stitch pass: queries whose slice
-  // shard holds no key >= them (the slice's unfound SUFFIX — slices are
-  // sorted) share one answer, the next nonempty shard's minimum.
-  void successor_batch(const key_type* keys, uint64_t n, key_type* out,
-                       uint64_t* found, uint64_t bit_base = 0) const {
-    if (n == 0) return;
-    const uint64_t s_count = shards_.size();
-    std::vector<uint64_t> bounds;
-    partition_batch(keys, n, bounds);
-    par::parallel_for(0, s_count, [&](uint64_t s) {
-      const uint64_t b = bounds[s], e = bounds[s + 1];
-      if (e > b) {
-        shards_[s].successor_batch(keys + b, e - b, out + b, found,
-                                   bit_base + b);
-      }
-    }, 1);
-    // next_min[s]: smallest key in any shard after s (the shared answer for
-    // shard s's spill-over queries). The parallel_for above joined, so the
-    // found bits are plainly readable here.
-    std::optional<key_type> next_min;
-    for (uint64_t s = s_count; s-- > 0;) {
-      if (next_min) {
-        for (uint64_t q = bounds[s + 1]; q-- > bounds[s];) {
-          const uint64_t bit = bit_base + q;
-          if ((found[bit >> 6] >> (bit & 63)) & 1) break;  // found suffix ends
-          out[q] = *next_min;
-          found[bit >> 6] |= uint64_t{1} << (bit & 63);
-        }
-      }
-      if (auto v = shards_[s].min()) next_min = v;
-    }
-  }
-
-  // Engine map_ranges stitched across shards: each shard receives the slice
-  // of ranges overlapping its key span (a range straddling a splitter goes
-  // to every shard it crosses — each emits only its stored keys, so the
-  // union is exact). Same f contract as the engine, plus: one straddling
-  // range's keys may arrive from different shard tasks concurrently.
-  template <typename F>
-  void map_ranges(const std::pair<key_type, key_type>* ranges, uint64_t m,
-                  F&& f) const {
-    if (m == 0) return;
-    const uint64_t s_count = shards_.size();
-    std::vector<std::pair<uint64_t, uint64_t>> slices(s_count);
-    uint64_t rb = 0;
-    for (uint64_t s = 0; s < s_count; ++s) {
-      const key_type lo = s == 0 ? 0 : splitters_[s - 1];
-      while (rb < m && ranges[rb].second <= lo) ++rb;
-      uint64_t re = rb;
-      while (re < m &&
-             (s + 1 >= s_count || ranges[re].first < splitters_[s])) {
-        ++re;
-      }
-      slices[s] = {rb, re};
-    }
-    par::parallel_for(0, s_count, [&](uint64_t s) {
-      auto [b, e] = slices[s];
-      if (e > b) {
-        shards_[s].map_ranges(
-            ranges + b, e - b,
-            [&, b](uint64_t ri, key_type k) { f(b + ri, k); });
-      }
-    }, 1);
-  }
-
-  // ---- iteration ----------------------------------------------------------
-
-  class const_iterator {
-   public:
-    using value_type = key_type;
-    using difference_type = std::ptrdiff_t;
-    using reference = key_type;
-    using pointer = const key_type*;
-    using iterator_category = std::forward_iterator_tag;
-
-    const_iterator() = default;
-    key_type operator*() const { return *it_; }
-
-    const_iterator& operator++() {
-      ++it_;
-      advance_past_empty();
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator copy = *this;
-      ++*this;
-      return copy;
-    }
-
-    bool operator==(const const_iterator& o) const {
-      if (shard_ != o.shard_) return false;
-      if (owner_ == nullptr || shard_ == owner_->shards_.size()) return true;
-      return it_ == o.it_;
-    }
-
-   private:
-    friend class ShardedPMA;
-    explicit const_iterator(const ShardedPMA* owner) : owner_(owner) {}
-
-    void advance_past_empty() {
-      while (shard_ < owner_->shards_.size() &&
-             it_ == owner_->shards_[shard_].end()) {
-        ++shard_;
-        if (shard_ < owner_->shards_.size()) {
-          it_ = owner_->shards_[shard_].begin();
-        }
-      }
-    }
-
-    const ShardedPMA* owner_ = nullptr;
-    uint64_t shard_ = 0;
-    typename Engine::const_iterator it_{};
-  };
-
-  const_iterator begin() const {
-    const_iterator it(this);
-    it.shard_ = 0;
-    it.it_ = shards_[0].begin();
-    it.advance_past_empty();
-    return it;
-  }
-
-  const_iterator end() const {
-    const_iterator it(this);
-    it.shard_ = shards_.size();
-    return it;
-  }
-
-  // ---- flattened-leaf iteration (graph vertex index) ----------------------
-  // The engine's advanced-iteration surface, flattened across shards: global
-  // leaf l is shard 0's leaves, then shard 1's, ... (still key order, since
-  // shard ranges ascend). Positions are (shard, engine Position) and are
-  // invalidated by ANY update, exactly like engine positions — the graph
-  // layer rebuilds its vertex index after batches. This is what lets
-  // FGraphT<SCPMA> run the paper's graph suite on the sharded store.
-
-  using Position = FlatPosition<Engine>;
-  using FlatOps = FlatLeafOps<ShardedPMA, Engine>;
-
-  uint64_t num_leaves() const { return FlatOps::num_leaves(*this); }
-
-  uint64_t leaf_element_count(uint64_t l) const {
-    return FlatOps::leaf_element_count(*this, l);
-  }
-
-  template <typename F>
-  void scan_leaf_positions(uint64_t l, F&& f) const {
-    FlatOps::scan_leaf_positions(*this, l, std::forward<F>(f));
-  }
-
-  template <typename F>
-  void scan_leaf_keys(uint64_t l, F&& f) const {
-    FlatOps::scan_leaf_keys(*this, l, std::forward<F>(f));
-  }
-
-  template <typename F>
-  void map_from_position(Position pos, F&& f) const {
-    FlatOps::map_from_position(*this, pos, std::forward<F>(f));
   }
 
   // ---- introspection ------------------------------------------------------
@@ -623,45 +371,12 @@ class ShardedPMA {
   }
 
  private:
-  // Shard owning `key`: the number of splitters <= key (shard i+1's range
-  // starts at splitters_[i], inclusive).
-  uint64_t shard_for(key_type key) const {
-    return static_cast<uint64_t>(
-        std::upper_bound(splitters_.begin(), splitters_.end(), key) -
-        splitters_.begin());
-  }
-
   // Quantile splitters from a sorted (possibly duplicated) stream; clamped
   // to >= 1 so the key-0 sentinel always routes to shard 0.
   void set_splitters_from_sorted(const key_type* keys, uint64_t n) {
     const uint64_t s_count = shards_.size();
     for (uint64_t i = 0; i + 1 < s_count; ++i) {
       splitters_[i] = std::max<key_type>(keys[(i + 1) * n / s_count], 1);
-    }
-  }
-
-  // bounds[i] = first batch index routed to shard i; bounds[S] = n. Same
-  // exponential-gallop-then-binary-search idiom as the engine's run_end:
-  // gallop from the previous boundary, bounded search over the last gap.
-  void partition_batch(const key_type* batch, uint64_t n,
-                       std::vector<uint64_t>& bounds) const {
-    const uint64_t s_count = shards_.size();
-    bounds.assign(s_count + 1, n);
-    bounds[0] = 0;
-    uint64_t pos = 0;
-    for (uint64_t i = 0; i + 1 < s_count; ++i) {
-      const key_type sp = splitters_[i];
-      if (pos < n && batch[pos] < sp) {
-        uint64_t lo = pos, step = 1;
-        while (lo + step < n && batch[lo + step] < sp) {
-          lo += step;
-          step *= 2;
-        }
-        uint64_t hi = std::min(lo + step, n);
-        pos = static_cast<uint64_t>(
-            std::lower_bound(batch + lo, batch + hi, sp) - batch);
-      }
-      bounds[i + 1] = pos;
     }
   }
 
@@ -688,12 +403,12 @@ class ShardedPMA {
     detail::PhaseTimer pt;
     if (!sorted) par::parallel_sort(input, n);
     if constexpr (IsInsert) {
-      if (n >= kSplitterSeedMin && empty()) {
+      if (n >= kSplitterSeedMin && this->empty()) {
         set_splitters_from_sorted(input, n);
       }
     }
     std::vector<uint64_t> bounds;
-    partition_batch(input, n, bounds);
+    this->partition_batch(input, n, bounds);
     router_times_.route_ns += pt.lap();
     const uint64_t s_count = shards_.size();
     util::uvector<uint64_t> delta(s_count);

@@ -11,13 +11,14 @@
 //    parallelism inside)              blocks, never takes a lock)
 //
 //  * READS: snapshot() pins the current epoch and returns an accessor over
-//    the latest published SnapshotView — the full read API (has, successor,
-//    min/max, map/map_range/map_range_length, iteration) against a frozen,
-//    consistent picture of the set. The pin keeps the view (and every shard
-//    engine it shares) alive across any number of concurrent batch applies,
-//    rebalances, and republishes; dropping the guard lets the writer
-//    reclaim. Readers NEVER block on the writer: the handoff is one atomic
-//    pointer load under two atomic slot stores.
+//    the latest published SnapshotView — the full sharded read API
+//    (pma/sharded_reads.hpp: point reads, scans, batch queries, iteration,
+//    flattened leaves) against a frozen, consistent picture of the set.
+//    The pin keeps the view (and every shard engine it shares) alive
+//    across any number of concurrent batch applies, rebalances, and
+//    republishes; dropping the guard lets the writer reclaim. Readers
+//    NEVER block on the writer: the handoff is one atomic pointer load
+//    under two atomic slot stores.
 //  * WRITES: a single writer applies batches to store_ under writer_mutex_
 //    (the engine pipeline keeps its internal fork-join parallelism), then
 //    publishes a fresh view. Publishing is copy-on-write at shard
@@ -167,47 +168,16 @@ class ServingPMA {
   // as long as needed — a held pin delays reclamation of every view
   // published since (bounded memory: one engine copy per dirty shard per
   // retired view).
-  class Snapshot {
+  class Snapshot : public pma::ShardedReads<Snapshot, Engine> {
    public:
-    bool has(key_type key) const { return view_->has(key); }
-    std::optional<key_type> successor(key_type key) const {
-      return view_->successor(key);
+    // The read API (point, scan, batch query and flattened-leaf reads) is
+    // inherited from ShardedReads over these accessors into the pinned view.
+    uint64_t num_shards() const { return view_->num_shards(); }
+    const Engine& shard(uint64_t s) const { return view_->shard(s); }
+    const std::vector<key_type>& splitters() const {
+      return view_->splitters();
     }
-    std::optional<key_type> min() const { return view_->min(); }
-    std::optional<key_type> max() const { return view_->max(); }
-    uint64_t size() const { return view_->size(); }
-    bool empty() const { return view_->empty(); }
-    template <typename F>
-    void map(F&& f) const {
-      view_->map(std::forward<F>(f));
-    }
-    template <typename F>
-    void map_range(F&& f, key_type start, key_type end) const {
-      view_->map_range(std::forward<F>(f), start, end);
-    }
-    template <typename F>
-    uint64_t map_range_length(F&& f, key_type start, uint64_t length) const {
-      return view_->map_range_length(std::forward<F>(f), start, length);
-    }
-    // Amortized batch reads (SnapshotView::has_batch etc.): the multi-get
-    // surface — one pin, one routed pass, one decode per touched leaf,
-    // instead of a descent per key.
-    void has_batch(const key_type* keys, uint64_t n, uint64_t* bits,
-                   uint64_t bit_base = 0) const {
-      view_->has_batch(keys, n, bits, bit_base);
-    }
-    std::vector<uint64_t> has_batch(const key_type* keys, uint64_t n) const {
-      return view_->has_batch(keys, n);
-    }
-    void successor_batch(const key_type* keys, uint64_t n, key_type* out,
-                         uint64_t* found, uint64_t bit_base = 0) const {
-      view_->successor_batch(keys, n, out, found, bit_base);
-    }
-    template <typename F>
-    void map_ranges(const std::pair<key_type, key_type>* ranges, uint64_t m,
-                    F&& f) const {
-      view_->map_ranges(ranges, m, std::forward<F>(f));
-    }
+    // Iterators point into the pinned view, not into this movable accessor.
     typename View::const_iterator begin() const { return view_->begin(); }
     typename View::const_iterator end() const { return view_->end(); }
     const View& view() const { return *view_; }
@@ -373,16 +343,10 @@ class ServingPMA {
   using detail_timer = pma::detail::PhaseTimer;
 
   bool enqueue(key_type key, bool is_insert, bool allow_block) {
-    uint64_t s;
-    {
-      // Route against the published splitters (stable under the pin). Drift
-      // vs the store's live splitters only costs queue locality — the
-      // combiner re-routes through the sharded batch dispatch.
-      Snapshot snap = snapshot();
-      const std::vector<key_type>& sp = snap.view().splitters();
-      s = static_cast<uint64_t>(
-          std::upper_bound(sp.begin(), sp.end(), key) - sp.begin());
-    }
+    // Route against the published splitters (stable under the pin). Drift
+    // vs the store's live splitters only costs queue locality — the
+    // combiner re-routes through the sharded batch dispatch.
+    const uint64_t s = snapshot().shard_for(key);
     const uint64_t cap = settings_.queue_cap;
     uint64_t pending;
     if (cap == 0) {

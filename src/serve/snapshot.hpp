@@ -11,10 +11,12 @@
 // an epoch pin and navigate raw `const Engine*`s, so the read path is
 // refcount-free.
 //
-// The view exposes the full read API of the sharded structure — has /
-// successor / min / max / size / map / map_range / map_range_length /
-// iteration — with the same key-order stitching as ShardedPMA (shard
-// ranges are disjoint and ascending).
+// The view inherits the full read API of the sharded structure — point
+// reads, scans, batch queries, iteration and the flattened-leaf surface —
+// from the same ShardedReads mixin as ShardedPMA (pma/sharded_reads.hpp).
+// Because the view never mutates, any number of reader threads may run
+// those reads concurrently on one pinned snapshot, and flat positions stay
+// valid for the life of the epoch pin.
 //
 // SnapshotHolder owns the single atomic current-view pointer plus the
 // retired list: publish() swaps in a new view, stamps the old one with the
@@ -22,23 +24,20 @@
 // still reference (see serve/epoch.hpp for the safety argument).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <iterator>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "parallel/scheduler.hpp"
-#include "pma/flat_leaves.hpp"
+#include "pma/sharded_reads.hpp"
 #include "serve/epoch.hpp"
 
 namespace cpma::serve {
 
 template <typename Engine>
-class SnapshotView {
+class SnapshotView
+    : public pma::ShardedReads<SnapshotView<Engine>, Engine> {
  public:
   using key_type = uint64_t;
   using engine_type = Engine;
@@ -62,275 +61,7 @@ class SnapshotView {
   uint64_t publish_seq() const { return publish_seq_; }
   uint64_t publish_time_ns() const { return publish_time_ns_; }
 
-  // ---- size ---------------------------------------------------------------
-
-  uint64_t size() const {
-    uint64_t total = 0;
-    for (const auto& e : shards_) total += e->size();
-    return total;
-  }
-
-  bool empty() const {
-    for (const auto& e : shards_) {
-      if (!e->empty()) return false;
-    }
-    return true;
-  }
-
-  // ---- point reads --------------------------------------------------------
-
-  bool has(key_type key) const { return shards_[shard_for(key)]->has(key); }
-
-  std::optional<key_type> successor(key_type key) const {
-    for (uint64_t s = shard_for(key); s < shards_.size(); ++s) {
-      if (auto v = shards_[s]->successor(key)) return v;
-    }
-    return std::nullopt;
-  }
-
-  std::optional<key_type> min() const {
-    for (const auto& e : shards_) {
-      if (auto v = e->min()) return v;
-    }
-    return std::nullopt;
-  }
-
-  std::optional<key_type> max() const {
-    for (uint64_t s = shards_.size(); s-- > 0;) {
-      if (auto v = shards_[s]->max()) return v;
-    }
-    return std::nullopt;
-  }
-
-  // ---- scans --------------------------------------------------------------
-
-  template <typename F>
-  void map(F&& f) const {
-    for (const auto& e : shards_) e->map(f);
-  }
-
-  template <typename F>
-  void map_range(F&& f, key_type start, key_type end) const {
-    if (start >= end) return;
-    for (uint64_t s = shard_for(start); s < shards_.size(); ++s) {
-      if (s > 0 && splitters_[s - 1] >= end) break;
-      shards_[s]->map_range(f, start, end);
-    }
-  }
-
-  template <typename F>
-  uint64_t map_range_length(F&& f, key_type start, uint64_t length) const {
-    uint64_t applied = 0;
-    for (uint64_t s = shard_for(start);
-         s < shards_.size() && applied < length; ++s) {
-      applied += shards_[s]->map_range_length(f, start, length - applied);
-    }
-    return applied;
-  }
-
-  // ---- batch queries ------------------------------------------------------
-  // ShardedPMA's amortized batch reads over the immutable view: sorted
-  // queries partitioned against the splitters, per-shard slices as sibling
-  // tasks, one decode per touched leaf. Because the view never mutates,
-  // any number of reader threads may run these concurrently on one pinned
-  // snapshot — this is the multi-get surface serving clients use.
-
-  void has_batch(const key_type* keys, uint64_t n, uint64_t* bits,
-                 uint64_t bit_base = 0) const {
-    if (n == 0) return;
-    std::vector<uint64_t> bounds;
-    partition_batch(keys, n, bounds);
-    par::parallel_for(0, shards_.size(), [&](uint64_t s) {
-      const uint64_t b = bounds[s], e = bounds[s + 1];
-      if (e > b) shards_[s]->has_batch(keys + b, e - b, bits, bit_base + b);
-    }, 1);
-  }
-
-  std::vector<uint64_t> has_batch(const key_type* keys, uint64_t n) const {
-    std::vector<uint64_t> bits((n + 63) / 64, 0);
-    has_batch(keys, n, bits.data(), 0);
-    return bits;
-  }
-
-  void successor_batch(const key_type* keys, uint64_t n, key_type* out,
-                       uint64_t* found, uint64_t bit_base = 0) const {
-    if (n == 0) return;
-    const uint64_t s_count = shards_.size();
-    std::vector<uint64_t> bounds;
-    partition_batch(keys, n, bounds);
-    par::parallel_for(0, s_count, [&](uint64_t s) {
-      const uint64_t b = bounds[s], e = bounds[s + 1];
-      if (e > b) {
-        shards_[s]->successor_batch(keys + b, e - b, out + b, found,
-                                    bit_base + b);
-      }
-    }, 1);
-    // Stitch spill-over queries (a slice's unfound suffix) to the next
-    // nonempty shard's minimum, right to left.
-    std::optional<key_type> next_min;
-    for (uint64_t s = s_count; s-- > 0;) {
-      if (next_min) {
-        for (uint64_t q = bounds[s + 1]; q-- > bounds[s];) {
-          const uint64_t bit = bit_base + q;
-          if ((found[bit >> 6] >> (bit & 63)) & 1) break;
-          out[q] = *next_min;
-          found[bit >> 6] |= uint64_t{1} << (bit & 63);
-        }
-      }
-      if (auto v = shards_[s]->min()) next_min = v;
-    }
-  }
-
-  template <typename F>
-  void map_ranges(const std::pair<key_type, key_type>* ranges, uint64_t m,
-                  F&& f) const {
-    if (m == 0) return;
-    const uint64_t s_count = shards_.size();
-    std::vector<std::pair<uint64_t, uint64_t>> slices(s_count);
-    uint64_t rb = 0;
-    for (uint64_t s = 0; s < s_count; ++s) {
-      const key_type lo = s == 0 ? 0 : splitters_[s - 1];
-      while (rb < m && ranges[rb].second <= lo) ++rb;
-      uint64_t re = rb;
-      while (re < m &&
-             (s + 1 >= s_count || ranges[re].first < splitters_[s])) {
-        ++re;
-      }
-      slices[s] = {rb, re};
-    }
-    par::parallel_for(0, s_count, [&](uint64_t s) {
-      auto [b, e] = slices[s];
-      if (e > b) {
-        shards_[s]->map_ranges(
-            ranges + b, e - b,
-            [&, b](uint64_t ri, key_type k) { f(b + ri, k); });
-      }
-    }, 1);
-  }
-
-  // ---- flattened-leaf iteration (graph vertex index) ----------------------
-  // Same advanced-iteration surface as ShardedPMA, over the IMMUTABLE view:
-  // positions stay valid for the life of the epoch pin, so the graph layer
-  // builds a vertex index over a pinned snapshot while ingest continues.
-
-  using Position = pma::FlatPosition<Engine>;
-  using FlatOps = pma::FlatLeafOps<SnapshotView, Engine>;
-
-  uint64_t num_leaves() const { return FlatOps::num_leaves(*this); }
-
-  uint64_t leaf_element_count(uint64_t l) const {
-    return FlatOps::leaf_element_count(*this, l);
-  }
-
-  template <typename F>
-  void scan_leaf_positions(uint64_t l, F&& f) const {
-    FlatOps::scan_leaf_positions(*this, l, std::forward<F>(f));
-  }
-
-  template <typename F>
-  void scan_leaf_keys(uint64_t l, F&& f) const {
-    FlatOps::scan_leaf_keys(*this, l, std::forward<F>(f));
-  }
-
-  template <typename F>
-  void map_from_position(Position pos, F&& f) const {
-    FlatOps::map_from_position(*this, pos, std::forward<F>(f));
-  }
-
-  // ---- iteration ----------------------------------------------------------
-
-  class const_iterator {
-   public:
-    using value_type = key_type;
-    using difference_type = std::ptrdiff_t;
-    using reference = key_type;
-    using pointer = const key_type*;
-    using iterator_category = std::forward_iterator_tag;
-
-    const_iterator() = default;
-    key_type operator*() const { return *it_; }
-
-    const_iterator& operator++() {
-      ++it_;
-      advance_past_empty();
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator copy = *this;
-      ++*this;
-      return copy;
-    }
-
-    bool operator==(const const_iterator& o) const {
-      if (shard_ != o.shard_) return false;
-      if (owner_ == nullptr || shard_ == owner_->shards_.size()) return true;
-      return it_ == o.it_;
-    }
-
-   private:
-    friend class SnapshotView;
-    explicit const_iterator(const SnapshotView* owner) : owner_(owner) {}
-
-    void advance_past_empty() {
-      while (shard_ < owner_->shards_.size() &&
-             it_ == owner_->shards_[shard_]->end()) {
-        ++shard_;
-        if (shard_ < owner_->shards_.size()) {
-          it_ = owner_->shards_[shard_]->begin();
-        }
-      }
-    }
-
-    const SnapshotView* owner_ = nullptr;
-    uint64_t shard_ = 0;
-    typename Engine::const_iterator it_{};
-  };
-
-  const_iterator begin() const {
-    const_iterator it(this);
-    it.shard_ = 0;
-    it.it_ = shards_[0]->begin();
-    it.advance_past_empty();
-    return it;
-  }
-
-  const_iterator end() const {
-    const_iterator it(this);
-    it.shard_ = shards_.size();
-    return it;
-  }
-
  private:
-  uint64_t shard_for(key_type key) const {
-    return static_cast<uint64_t>(
-        std::upper_bound(splitters_.begin(), splitters_.end(), key) -
-        splitters_.begin());
-  }
-
-  // bounds[i] = first query index routed to shard i; bounds[S] = n. Same
-  // gallop idiom as ShardedPMA::partition_batch.
-  void partition_batch(const key_type* batch, uint64_t n,
-                       std::vector<uint64_t>& bounds) const {
-    const uint64_t s_count = shards_.size();
-    bounds.assign(s_count + 1, n);
-    bounds[0] = 0;
-    uint64_t pos = 0;
-    for (uint64_t i = 0; i + 1 < s_count; ++i) {
-      const key_type sp = splitters_[i];
-      if (pos < n && batch[pos] < sp) {
-        uint64_t lo = pos, step = 1;
-        while (lo + step < n && batch[lo + step] < sp) {
-          lo += step;
-          step *= 2;
-        }
-        uint64_t hi = std::min(lo + step, n);
-        pos = static_cast<uint64_t>(
-            std::lower_bound(batch + lo, batch + hi, sp) - batch);
-      }
-      bounds[i + 1] = pos;
-    }
-  }
-
   std::vector<key_type> splitters_;
   std::vector<std::shared_ptr<const Engine>> shards_;
   uint64_t publish_seq_ = 0;

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -416,6 +418,155 @@ TEST(QueryBatchSnapshot, PinnedViewDifferential) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// A drained interior shard, on every sharded read surface: the case the
+// successor stitch and the iterator's skip over empty shards exist for.
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kDrainedShard = 3;
+
+// 8 shards seeded from one bulk batch, then every key of interior shard
+// kDrainedShard removed. The huge rebalance floor keeps the rebalancer from
+// refilling the emptied shard.
+cpma::SCPMA make_drained_store(std::set<uint64_t>& ref) {
+  cpma::pma::ShardedSettings settings;
+  settings.num_shards = 8;
+  settings.min_rebalance_bytes = UINT64_MAX;
+  cpma::SCPMA store(settings);
+  Rng rng(0xD2A1);
+  std::vector<uint64_t> batch;
+  for (int i = 0; i < 40000; ++i) batch.push_back(rng.next() >> 20);
+  ref.insert(batch.begin(), batch.end());
+  store.insert_batch(batch.data(), batch.size());
+  const uint64_t lo = store.splitters()[kDrainedShard - 1];
+  const uint64_t hi = store.splitters()[kDrainedShard];
+  std::vector<uint64_t> drained(ref.lower_bound(lo), ref.lower_bound(hi));
+  for (uint64_t k : drained) ref.erase(k);
+  store.remove_batch(drained.data(), drained.size(), /*sorted=*/true);
+  return store;
+}
+
+// Each surface exposes reads() (the point/batch/scan/iteration API) and
+// leaves() (the flattened-leaf API) over the same drained store.
+struct ShardedSurface {
+  explicit ShardedSurface(cpma::SCPMA s) : store(std::move(s)) {}
+  const cpma::SCPMA& reads() const { return store; }
+  const cpma::SCPMA& leaves() const { return store; }
+  cpma::SCPMA store;
+};
+
+struct ViewSurface {
+  using View = cpma::serve::SnapshotView<cpma::CPMA>;
+  static View make_view(const cpma::SCPMA& s) {
+    std::vector<std::shared_ptr<const cpma::CPMA>> shards;
+    for (uint64_t i = 0; i < s.num_shards(); ++i) {
+      shards.push_back(std::make_shared<const cpma::CPMA>(s.shard(i)));
+    }
+    return View(s.splitters(), std::move(shards));
+  }
+  explicit ViewSurface(cpma::SCPMA s) : view(make_view(s)) {}
+  const View& reads() const { return view; }
+  const View& leaves() const { return view; }
+  View view;
+};
+
+struct ServingSurface {
+  explicit ServingSurface(cpma::SCPMA s)
+      : serving(std::move(s)), snap(serving.snapshot()) {}
+  const cpma::ServingCPMA::Snapshot& reads() const { return snap; }
+  const auto& leaves() const { return snap.view(); }
+  cpma::ServingCPMA serving;
+  cpma::ServingCPMA::Snapshot snap;
+};
+
+template <typename S>
+class DrainedShard : public ::testing::Test {};
+using Surfaces = ::testing::Types<ShardedSurface, ViewSurface, ServingSurface>;
+TYPED_TEST_SUITE(DrainedShard, Surfaces);
+
+TYPED_TEST(DrainedShard, EveryReadStitchesAcrossTheEmptyShard) {
+  std::set<uint64_t> ref;
+  cpma::SCPMA store = make_drained_store(ref);
+  ASSERT_TRUE(store.shard(kDrainedShard).empty());
+  ASSERT_FALSE(store.shard(kDrainedShard - 1).empty());
+  ASSERT_FALSE(store.shard(kDrainedShard + 1).empty());
+  const std::vector<uint64_t> splitters = store.splitters();
+  const uint64_t lo = splitters[kDrainedShard - 1];
+  const uint64_t hi = splitters[kDrainedShard];
+  const TypeParam surface(std::move(store));
+  const auto& s = surface.reads();
+
+  // Batch queries: random keys, every splitter's neighborhood, and keys
+  // inside the drained range (their successors live two shards on).
+  Rng rng(0xD2A2);
+  std::vector<uint64_t> q = make_queries(rng, ref, 3000);
+  for (uint64_t sp : splitters) {
+    q.push_back(sp - 1);
+    q.push_back(sp);
+    q.push_back(sp + 1);
+  }
+  for (uint64_t i = 0; i < 16; ++i) q.push_back(lo + i * ((hi - lo) / 16));
+  std::sort(q.begin(), q.end());
+  check_queries(s, ref, q, "drained shard");
+  check_map_ranges(s, ref, rng, "drained shard");
+
+  ASSERT_EQ(s.size(), ref.size());
+  ASSERT_EQ(s.min(), std::optional<uint64_t>(*ref.begin()));
+  ASSERT_EQ(s.max(), std::optional<uint64_t>(*ref.rbegin()));
+
+  const std::vector<uint64_t> all(ref.begin(), ref.end());
+  ASSERT_EQ(std::vector<uint64_t>(s.begin(), s.end()), all);
+
+  // map_range / map_range_length starting in the shard before the drained
+  // one, and starting inside the drained range.
+  for (uint64_t start : {*std::prev(ref.lower_bound(lo)), lo, lo + 1}) {
+    std::vector<uint64_t> got;
+    const uint64_t applied = s.map_range_length(
+        [&](uint64_t k) { got.push_back(k); }, start, 100);
+    std::vector<uint64_t> expect;
+    for (auto it = ref.lower_bound(start);
+         it != ref.end() && expect.size() < 100; ++it) {
+      expect.push_back(*it);
+    }
+    ASSERT_EQ(applied, expect.size()) << "map_range_length from " << start;
+    ASSERT_EQ(got, expect) << "map_range_length from " << start;
+
+    const uint64_t end = *ref.lower_bound(hi) + 1;
+    got.clear();
+    s.map_range([&](uint64_t k) { got.push_back(k); }, start, end);
+    expect.assign(ref.lower_bound(start), ref.lower_bound(end));
+    ASSERT_EQ(got, expect) << "map_range from " << start;
+  }
+
+  // map_from_position from every leaf's first position (empty leaves, the
+  // drained shard's among them, have none) runs on in global key order.
+  const auto& flat = surface.leaves();
+  constexpr uint64_t kRun = 200;
+  uint64_t nonempty = 0, counted = 0;
+  for (uint64_t l = 0; l < flat.num_leaves(); ++l) {
+    counted += flat.leaf_element_count(l);
+    std::optional<uint64_t> first_key;
+    flat.scan_leaf_positions(l, [&](auto pos, uint64_t key) {
+      if (first_key) return;
+      first_key = key;
+      std::vector<uint64_t> got;
+      flat.map_from_position(pos, [&](uint64_t k) {
+        got.push_back(k);
+        return got.size() < kRun;
+      });
+      std::vector<uint64_t> expect;
+      for (auto it = ref.find(key); it != ref.end() && expect.size() < kRun;
+           ++it) {
+        expect.push_back(*it);
+      }
+      ASSERT_EQ(got, expect) << "map_from_position at leaf " << l;
+    });
+    if (first_key) ++nonempty;
+  }
+  ASSERT_GT(nonempty, 0u);
+  ASSERT_EQ(counted, ref.size());
+}
+
 TEST(QueryBatchGraph, HasEdgesAndDedupIngest) {
   using Graph = cpma::graph::StreamingGraphCPMA;
   cpma::serve::ServingSettings settings;
@@ -499,7 +650,9 @@ TEST(QueryBatchConcurrency, SharedConstEngineReads) {
           ASSERT_EQ(bit_set(bits, i), ref.count(q[i]) != 0);
           auto it = ref.lower_bound(q[i]);
           ASSERT_EQ(bit_set(found, i), it != ref.end());
-          if (it != ref.end()) ASSERT_EQ(out[i], *it);
+          if (it != ref.end()) {
+            ASSERT_EQ(out[i], *it);
+          }
           ASSERT_EQ(shared.has(q[i]), ref.count(q[i]) != 0);
         }
       }
