@@ -1,12 +1,12 @@
 // Leaf decode-throughput microbench: measures the decode kernels that every
-// CPMA scan/merge routes through, at leaf granularity, across the three leaf
-// codecs (byte-varint, group-varint, adaptive selection).
+// CPMA scan/merge routes through, at leaf granularity, for the byte-varint
+// leaf and the adaptive (byte-varint or bitmap) leaf.
 //
 // Modes:
 //   scalar  one key per cursor_next call (the search loops)
 //   block   block_next into a stack buffer (scans and merges; takes the
-//           word-at-a-time / SIMD fast path on 1-byte deltas, the group
-//           decode on group-varint, word popcount scans on bitmap leaves)
+//           word-at-a-time / SIMD fast path on 1-byte deltas, word
+//           popcount scans on bitmap leaves)
 //   map     Leaf::map summing (what engine scans execute)
 //   count   element_count (no value decode)
 //   legacy  byte-varint only: the seed implementation (memchr + scalar loop)
@@ -15,7 +15,8 @@
 // byte-varint fast-path sweet spot), dense_runs (clustered consecutive runs
 // separated by large gaps — the regime bitmap selection must win), mixed
 // (half dense runs, half uniform 40-bit), uniform40 (~3-byte codes, where
-// group-varint must beat the scalar loop) and sparse60 (~7-byte codes).
+// the prefer_scalar probe takes the scalar loop) and sparse60 (~7-byte
+// codes).
 //
 // Output: one RESULT line per (codec, dist, mode) — machine-parsed by
 // scripts/run_bench.py into BENCH_leaf_decode.json; the codec= field keys
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "codec/group_varint.hpp"
 #include "pma/leaf_adaptive.hpp"
 #include "pma/leaf_compressed.hpp"
 #include "pma/settings.hpp"
@@ -36,7 +36,6 @@
 namespace {
 
 using BvLeaf = cpma::pma::CompressedLeaf<>;
-using GvLeaf = cpma::pma::CompressedLeaf<cpma::codec::GroupVarintCodec>;
 using ALeaf = cpma::pma::AdaptiveLeaf;
 
 constexpr size_t kLeafBytes = 1024;
@@ -227,7 +226,6 @@ void run_codec(const std::string& codec, const std::string& dist,
 void run_dist(const std::string& dist) {
   auto keys = make_dist(dist, bench::base_n(), 42);
   run_codec<BvLeaf>("bv", dist, keys);
-  run_codec<GvLeaf>("gv", dist, keys);
   run_codec<ALeaf>("adaptive", dist, keys);
 }
 

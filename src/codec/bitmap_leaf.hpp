@@ -15,7 +15,7 @@
 // from window(head) — and the +1 keeps the varint >= 1, so a pair always
 // starts with a nonzero byte and 0x00 at a pair boundary unambiguously
 // terminates the body. Word bytes MAY be zero; they are never inspected as
-// terminators (scans hop pair to pair, like any non-zero-free codec).
+// terminators (scans hop pair to pair).
 //
 // The body stores bits only for keys STRICTLY GREATER than the leaf head
 // (the head is stored uncompressed in the leaf header, as for every other

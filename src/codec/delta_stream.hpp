@@ -13,15 +13,11 @@
 //   static size_t encode(uint64_t v, uint8_t* dst);
 //   static size_t decode(const uint8_t* src, uint64_t* out);
 //   static size_t skip(const uint8_t* src);
-// Contract: the FIRST byte of the encoding of any value >= 1 is nonzero, so
-// a 0x00 byte at a code boundary is the end-of-stream marker (the
-// zero-filled tail of a leaf terminates the run). Codecs whose encodings
-// contain no 0x00 byte ANYWHERE additionally declare
-//   static constexpr bool kZeroFree = true;   // default when absent
-// which lets the leaf find its used bytes with a memchr instead of hopping
-// code to code (see kCodecZeroFree below; GroupVarintCodec's payload bytes
-// can be zero, so it declares false). Optional bulk hooks (detected with
-// `requires`, scalar fallbacks otherwise):
+// Contract: the encoding of any value >= 1 contains no 0x00 byte, so the
+// first 0x00 byte is the end-of-stream marker (the zero-filled tail of a
+// leaf terminates the run) and a leaf finds its used bytes with a memchr.
+// Optional bulk hooks (detected with `requires`, scalar fallbacks
+// otherwise):
 //   static size_t decode_block(src, avail, base, out, max, &consumed);
 //   static size_t count_run(src, avail, &consumed);
 //
@@ -37,7 +33,6 @@
 #include <cstring>
 
 #include "codec/varint.hpp"
-#include "pma/settings.hpp"
 
 #ifndef CPMA_SIMD
 #define CPMA_SIMD 1
@@ -87,7 +82,6 @@ inline uint64_t decode8_avx2(const uint8_t* p, uint64_t base, uint64_t* out) {
 struct ByteVarintCodec {
   static constexpr const char* name = "byte-varint";
   static constexpr size_t kMaxBytes = kMaxVarintBytes;
-  static constexpr bool kZeroFree = true;
 
   static constexpr size_t size(uint64_t v) { return varint_size(v); }
   static size_t encode(uint64_t v, uint8_t* dst) {
@@ -143,18 +137,16 @@ struct ByteVarintCodec {
   // immediately and its generic tail would decode the rest anyway. The
   // kernel then takes a tight scalar loop instead, which skips the per-block
   // probe and the word-loop setup entirely (the mid-density regime where
-  // block decode used to trail the pure scalar loop by ~15-25%). The
-  // continue-bit threshold is env-tunable: CPMA_PREFER_SCALAR_THRESHOLD
-  // (pma/settings.hpp), default 3 — each set high bit is a continue bit, so
-  // >= 3 of 8 bytes belonging to multi-byte codes means at most ~5 values
-  // in the window and the word fast path cannot engage.
+  // block decode used to trail the pure scalar loop by ~15-25%). Each set
+  // high bit is a continue bit, so >= 3 of 8 bytes belonging to multi-byte
+  // codes means at most ~5 values in the window and the word fast path
+  // cannot engage.
   static bool prefer_scalar(const uint8_t* src, size_t avail) {
     if (avail < 8) return false;  // short tail: decode_block's tail loop
     uint64_t w;
     std::memcpy(&w, src, 8);
     if (detail::word_has_zero_byte(w)) return false;  // terminator nearby
-    return static_cast<unsigned>(std::popcount(w & detail::kHighBits)) >=
-           pma::prefer_scalar_threshold();
+    return std::popcount(w & detail::kHighBits) >= 3;
   }
 
   // Sums encoded values without storing them, consuming whole codes while
@@ -262,19 +254,6 @@ concept HasSumRunTo = requires(const uint8_t* p, size_t a, size_t t,
                                size_t* c) {
   { Codec::sum_run_to(p, a, t, c) } -> std::same_as<uint64_t>;
 };
-
-// True when no encoding of a value >= 1 contains a 0x00 byte anywhere (not
-// just in the first position), so a buffer's used bytes can be found with a
-// memchr. Codecs opt OUT by declaring kZeroFree = false; absence of the
-// member means the stronger guarantee holds (all pre-existing codecs).
-template <typename Codec>
-inline constexpr bool kCodecZeroFree = [] {
-  if constexpr (requires { Codec::kZeroFree; }) {
-    return static_cast<bool>(Codec::kZeroFree);
-  } else {
-    return true;
-  }
-}();
 
 // Streaming decoder over a delta run. `value()` starts at the caller's base
 // (a leaf's head) and advances by one decoded delta per next(), or by whole

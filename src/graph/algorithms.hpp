@@ -49,15 +49,20 @@ std::vector<double> pagerank(G& g, int iterations = 10,
     // PR precisely because the kernel is a pass over all edges.
     // Flat path: degrees via a run scan (no vertex index at all), then one
     // linear pass per iteration.
+    // A neighborhood spanning leaves is emitted once per leaf, possibly
+    // from two workers at once, so degrees accumulate atomically.
     std::vector<std::atomic<double>> next(n);
-    std::vector<double> deg(n, 0.0);
+    std::vector<std::atomic<uint64_t>> deg(n);
     g.scan_neighbor_runs(
-        0.0, [](vertex_t) { return 1.0; },
-        [](double a, double b) { return a + b; },
-        [&](vertex_t src, double cnt) { deg[src] += cnt; });
+        uint64_t{0}, [](vertex_t) { return uint64_t{1}; },
+        [](uint64_t a, uint64_t b) { return a + b; },
+        [&](vertex_t src, uint64_t cnt) {
+          deg[src].fetch_add(cnt, std::memory_order_relaxed);
+        });
     for (int iter = 0; iter < iterations; ++iter) {
       par::parallel_for(0, n, [&](uint64_t v) {
-        contrib[v] = deg[v] == 0 ? 0.0 : rank[v] / deg[v];
+        const uint64_t d = deg[v].load(std::memory_order_relaxed);
+        contrib[v] = d == 0 ? 0.0 : rank[v] / static_cast<double>(d);
         next[v].store((1.0 - damping) / n, std::memory_order_relaxed);
       });
       g.scan_neighbor_runs(

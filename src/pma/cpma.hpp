@@ -22,7 +22,7 @@ using PMA = pma::PackedMemoryArray<pma::UncompressedLeaf>;
 // Default codec (byte varints); swap the codec by instantiating
 // pma::PackedMemoryArray<pma::CompressedLeaf<YourCodec>> directly.
 using CPMA = pma::PackedMemoryArray<pma::CompressedLeaf<>>;
-// Adaptive per-leaf codec selection (byte-varint / group-varint / bitmap,
+// Adaptive per-leaf codec selection (byte-varint or bitmap,
 // chosen per leaf at materialization time; see pma/leaf_adaptive.hpp).
 using ACPMA = pma::PackedMemoryArray<pma::AdaptiveLeaf>;
 

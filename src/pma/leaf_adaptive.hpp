@@ -1,36 +1,32 @@
-// Adaptive leaf policy: per-leaf codec selection over three formats.
+// Adaptive leaf policy: per-leaf codec selection over two formats.
 //
 // Layout: [8-byte head][1-byte format tag][body...]. The tag is part of the
 // leaf header (kHeadBytes = 9), so every format's body starts at offset 9
 // and a zero-filled leaf is a valid empty byte-varint leaf (tag 0). The
-// varint formats delegate to CompressedLeaf<Codec, 9>, which leaves the tag
-// byte untouched (its writes cover [0,8) and [9,cap)); the bitmap format is
-// implemented here on top of codec/bitmap_leaf.hpp.
+// byte-varint format delegates to CompressedLeaf<ByteVarintCodec, 9>, which
+// leaves the tag byte untouched (its writes cover [0,8) and [9,cap)); the
+// bitmap format is implemented here on top of codec/bitmap_leaf.hpp.
 //
-// Formats:
+// Formats (the tag values are what a leaf stores in byte 8):
 //   0 byte-varint   — the canonical format (CompressedLeaf<ByteVarintCodec>)
-//   1 group-varint  — control-byte codes, wins on multi-byte-delta leaves
 //   2 bitmap        — window/word pairs, wins on dense runs (~1 bit/key)
 //
 // CANONICAL-COST INVARIANT: all engine planning (delta_bytes, encoded_size,
 // spread budgets, overflow accounting) quotes byte-varint cost. write()
-// selects a non-canonical format only when its exact encoded size is no
-// larger than the canonical size, so a materialized leaf never exceeds the
-// bytes the engine budgeted for it. Mutations preserve the property: varint
-// leaves grow exactly as CompressedLeaf does, bitmap point ops grow by at
-// most kMaxInsertGrowth, and bitmap remove_tail re-encodes in bitmap format
-// (a subset never encodes larger). Direct-spread byte stitching, whose cost
+// selects the bitmap only when its exact encoded size is no larger than the
+// canonical size, so a materialized leaf never exceeds the bytes the engine
+// budgeted for it. Mutations preserve the property: byte-varint leaves grow
+// exactly as CompressedLeaf does, bitmap point ops grow by at most
+// kMaxInsertGrowth, and bitmap remove_tail re-encodes in bitmap format (a
+// subset never encodes larger). Direct-spread byte stitching, whose cost
 // model is also canonical, is only exact for byte-varint content — the
-// engine refuses direct spreads when other formats are present and takes
+// engine refuses direct spreads when bitmap leaves are present and takes
 // the pack+rebuild path, which re-selects formats anyway (pma_impl.hpp).
 //
-// Selection (write()): exact encoded sizes of all three formats are
-// computed and the bitmap is chosen when its size beats the canonical size
-// by adaptive_bitmap_margin(); group-varint is attempted when canonical
-// body bytes per key reach adaptive_gv_bytes_per_key(). CPMA_FORCE_CODEC
-// pins the choice (still subject to the exact-size check). The same gates
-// drive StreamSizer, the incremental sizer the engine uses to pack leaves
-// by physical (selected-format) bytes during spread/rebuild.
+// Selection (write()): the exact encoded sizes of both formats are computed
+// and the bitmap is chosen when it is no larger than the canonical size.
+// The same rule drives StreamSizer, the incremental sizer the engine uses to
+// pack leaves by physical (selected-format) bytes during spread/rebuild.
 #pragma once
 
 #include <cassert>
@@ -42,16 +38,13 @@
 
 #include "codec/bitmap_leaf.hpp"
 #include "codec/delta_stream.hpp"
-#include "codec/group_varint.hpp"
 #include "pma/leaf_compressed.hpp"
-#include "pma/settings.hpp"
 
 namespace cpma::pma {
 
 struct AdaptiveLeaf {
   using key_type = uint64_t;
   using BV = CompressedLeaf<codec::ByteVarintCodec, 9>;
-  using GV = CompressedLeaf<codec::GroupVarintCodec, 9>;
   static constexpr const char* name = "acpma";
   static constexpr bool compressed = true;
   static constexpr size_t kHeadBytes = 9;
@@ -59,12 +52,11 @@ struct AdaptiveLeaf {
   // (64 keys per pair) can land several whole windows per block_next call;
   // at the byte-varint default of 64 the head alone leaves room for < 1.
   static constexpr size_t kBlockKeys = 256;
-  // Byte-varint dominates: a split delta (19) beats group-varint's (17) and
-  // the bitmap's worst case (a displaced-head pair insert plus a first-pair
-  // window rebase, <= 18).
+  // Byte-varint dominates: a split delta (19) beats the bitmap's worst case
+  // (a displaced-head pair insert plus a first-pair window rebase, <= 18).
   static constexpr size_t kMaxInsertGrowth = BV::kMaxInsertGrowth;
 
-  enum Format : uint8_t { kByteVarint = 0, kGroupVarint = 1, kBitmap = 2 };
+  enum Format : uint8_t { kByteVarint = 0, kBitmap = 2 };
   static uint8_t format_of(const uint8_t* leaf) { return leaf[8]; }
 
   static uint64_t head(const uint8_t* leaf) {
@@ -95,210 +87,135 @@ struct AdaptiveLeaf {
   // ---- reads ----------------------------------------------------------------
 
   static size_t used_bytes(const uint8_t* leaf, size_t cap) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::used_bytes(leaf, cap);
-      case kBitmap: {
-        if (head(leaf) == 0) return 0;
-        return kHeadBytes + codec::bitmap::body_used(body(leaf),
-                                                     cap - kHeadBytes);
-      }
-      default:
-        return BV::used_bytes(leaf, cap);
-    }
+    if (leaf[8] != kBitmap) return BV::used_bytes(leaf, cap);
+    if (head(leaf) == 0) return 0;
+    return kHeadBytes + codec::bitmap::body_used(body(leaf), cap - kHeadBytes);
   }
 
   static uint64_t element_count(const uint8_t* leaf, size_t cap) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::element_count(leaf, cap);
-      case kBitmap: {
-        if (head(leaf) == 0) return 0;
-        uint64_t n = 1;
-        auto r = pairs(leaf, cap);
-        while (r.next()) n += static_cast<uint64_t>(__builtin_popcountll(r.word()));
-        return n;
-      }
-      default:
-        return BV::element_count(leaf, cap);
-    }
+    if (leaf[8] != kBitmap) return BV::element_count(leaf, cap);
+    if (head(leaf) == 0) return 0;
+    uint64_t n = 1;
+    auto r = pairs(leaf, cap);
+    while (r.next()) n += static_cast<uint64_t>(__builtin_popcountll(r.word()));
+    return n;
   }
 
   static bool contains(const uint8_t* leaf, size_t cap, uint64_t key) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::contains(leaf, cap, key);
-      case kBitmap: {
-        uint64_t h = head(leaf);
-        if (h == 0 || key < h) return false;
-        if (key == h) return true;
-        const uint64_t wk = codec::bitmap::window(key);
-        auto r = pairs(leaf, cap);
-        while (r.next()) {
-          if (r.win() > wk) return false;
-          if (r.win() == wk) return (r.word() & codec::bitmap::bit_mask(key)) != 0;
-        }
-        return false;
-      }
-      default:
-        return BV::contains(leaf, cap, key);
+    if (leaf[8] != kBitmap) return BV::contains(leaf, cap, key);
+    uint64_t h = head(leaf);
+    if (h == 0 || key < h) return false;
+    if (key == h) return true;
+    const uint64_t wk = codec::bitmap::window(key);
+    auto r = pairs(leaf, cap);
+    while (r.next()) {
+      if (r.win() > wk) return false;
+      if (r.win() == wk) return (r.word() & codec::bitmap::bit_mask(key)) != 0;
     }
+    return false;
   }
 
   static std::optional<uint64_t> lower_bound(const uint8_t* leaf, size_t cap,
                                              uint64_t key) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::lower_bound(leaf, cap, key);
-      case kBitmap: {
-        uint64_t h = head(leaf);
-        if (h == 0) return std::nullopt;
-        if (h >= key) return h;
-        const uint64_t wk = codec::bitmap::window(key);
-        auto r = pairs(leaf, cap);
-        while (r.next()) {
-          if (r.win() < wk) continue;
-          uint64_t word = r.word();
-          if (r.win() == wk) {
-            word &= ~uint64_t{0} << codec::bitmap::bit_of(key);
-            if (word == 0) continue;
-          }
-          return (r.win() << 6) | static_cast<unsigned>(__builtin_ctzll(word));
-        }
-        return std::nullopt;
+    if (leaf[8] != kBitmap) return BV::lower_bound(leaf, cap, key);
+    uint64_t h = head(leaf);
+    if (h == 0) return std::nullopt;
+    if (h >= key) return h;
+    const uint64_t wk = codec::bitmap::window(key);
+    auto r = pairs(leaf, cap);
+    while (r.next()) {
+      if (r.win() < wk) continue;
+      uint64_t word = r.word();
+      if (r.win() == wk) {
+        word &= ~uint64_t{0} << codec::bitmap::bit_of(key);
+        if (word == 0) continue;
       }
-      default:
-        return BV::lower_bound(leaf, cap, key);
+      return (r.win() << 6) | static_cast<unsigned>(__builtin_ctzll(word));
     }
+    return std::nullopt;
   }
 
   template <typename F>
   static bool map(const uint8_t* leaf, size_t cap, F&& f) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::map(leaf, cap, f);
-      case kBitmap: {
-        uint64_t h = head(leaf);
-        if (h == 0) return true;
-        if (!f(h)) return false;
-        auto r = pairs(leaf, cap);
-        while (r.next()) {
-          uint64_t word = r.word();
-          const uint64_t base = r.win() << 6;
-          if (word == ~uint64_t{0}) {
-            for (unsigned i = 0; i < 64; ++i) {
-              if (!f(base + i)) return false;
-            }
-            continue;
-          }
-          while (word) {
-            if (!f(base | static_cast<unsigned>(__builtin_ctzll(word)))) {
-              return false;
-            }
-            word &= word - 1;
-          }
+    if (leaf[8] != kBitmap) return BV::map(leaf, cap, f);
+    uint64_t h = head(leaf);
+    if (h == 0) return true;
+    if (!f(h)) return false;
+    auto r = pairs(leaf, cap);
+    while (r.next()) {
+      uint64_t word = r.word();
+      const uint64_t base = r.win() << 6;
+      if (word == ~uint64_t{0}) {
+        for (unsigned i = 0; i < 64; ++i) {
+          if (!f(base + i)) return false;
         }
-        return true;
+        continue;
       }
-      default:
-        return BV::map(leaf, cap, f);
+      while (word) {
+        if (!f(base | static_cast<unsigned>(__builtin_ctzll(word)))) {
+          return false;
+        }
+        word &= word - 1;
+      }
     }
+    return true;
   }
 
   static uint64_t sum_leaf(const uint8_t* leaf, size_t cap) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::sum_leaf(leaf, cap);
-      case kBitmap: {
-        uint64_t sum = 0;
-        map(leaf, cap, [&](uint64_t k) {
-          sum += k;
-          return true;
-        });
-        return sum;
-      }
-      default:
-        return BV::sum_leaf(leaf, cap);
-    }
+    if (leaf[8] != kBitmap) return BV::sum_leaf(leaf, cap);
+    uint64_t sum = 0;
+    map(leaf, cap, [&](uint64_t k) {
+      sum += k;
+      return true;
+    });
+    return sum;
   }
 
   static uint64_t last(const uint8_t* leaf, size_t cap) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::last(leaf, cap);
-      case kBitmap: {
-        uint64_t h = head(leaf);
-        if (h == 0) return 0;
-        uint64_t v = h;
-        auto r = pairs(leaf, cap);
-        while (r.next()) {
-          v = (r.win() << 6) |
-              static_cast<unsigned>(63 - __builtin_clzll(r.word()));
-        }
-        return v;
-      }
-      default:
-        return BV::last(leaf, cap);
+    if (leaf[8] != kBitmap) return BV::last(leaf, cap);
+    uint64_t h = head(leaf);
+    if (h == 0) return 0;
+    uint64_t v = h;
+    auto r = pairs(leaf, cap);
+    while (r.next()) {
+      v = (r.win() << 6) |
+          static_cast<unsigned>(63 - __builtin_clzll(r.word()));
     }
+    return v;
   }
 
   static void decode_append(const uint8_t* leaf, size_t cap,
                             std::vector<uint64_t>& out) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        GV::decode_append(leaf, cap, out);
-        return;
-      case kBitmap:
-        map(leaf, cap, [&](uint64_t k) {
-          out.push_back(k);
-          return true;
-        });
-        return;
-      default:
-        BV::decode_append(leaf, cap, out);
-        return;
+    if (leaf[8] != kBitmap) {
+      BV::decode_append(leaf, cap, out);
+      return;
     }
+    map(leaf, cap, [&](uint64_t k) {
+      out.push_back(k);
+      return true;
+    });
   }
 
   static size_t decode_to(const uint8_t* leaf, size_t cap, uint64_t* out) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::decode_to(leaf, cap, out);
-      case kBitmap: {
-        size_t n = 0;
-        map(leaf, cap, [&](uint64_t k) {
-          out[n++] = k;
-          return true;
-        });
-        return n;
-      }
-      default:
-        return BV::decode_to(leaf, cap, out);
-    }
+    if (leaf[8] != kBitmap) return BV::decode_to(leaf, cap, out);
+    size_t n = 0;
+    map(leaf, cap, [&](uint64_t k) {
+      out[n++] = k;
+      return true;
+    });
+    return n;
   }
 
   // ---- point mutations ------------------------------------------------------
 
   static bool insert(uint8_t* leaf, size_t cap, uint64_t key) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::insert(leaf, cap, key);
-      case kBitmap:
-        return insert_bitmap(leaf, cap, key);
-      default:
-        return BV::insert(leaf, cap, key);
-    }
+    if (leaf[8] == kBitmap) return insert_bitmap(leaf, cap, key);
+    return BV::insert(leaf, cap, key);
   }
 
   static bool remove(uint8_t* leaf, size_t cap, uint64_t key) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::remove(leaf, cap, key);
-      case kBitmap:
-        return remove_bitmap(leaf, cap, key);
-      default:
-        return BV::remove(leaf, cap, key);
-    }
+    if (leaf[8] == kBitmap) return remove_bitmap(leaf, cap, key);
+    return BV::remove(leaf, cap, key);
   }
 
  private:
@@ -445,35 +362,22 @@ struct AdaptiveLeaf {
  public:
   // ---- materialized writes (format selection happens here) ------------------
 
-  // Selection gates shared by select_format (array form) and StreamSizer
-  // (incremental form). All sizes are exact encoded sizes including the
-  // kHeadBytes header; the chosen format's size never exceeds the canonical
-  // (byte-varint) size, which batch planning quotes as the upper bound.
+  // Selection rule shared by select_format (array form) and StreamSizer
+  // (incremental form). Both sizes are exact encoded sizes including the
+  // kHeadBytes header; the bitmap is chosen only when it is no larger than
+  // the canonical (byte-varint) size, which batch planning quotes as the
+  // upper bound. (A span/density pre-filter proved too blunt: a leaf
+  // holding several dense islands separated by large gaps has a huge span
+  // but still compresses ~6x better as a bitmap.)
   static uint8_t choose_format(size_t n, size_t canonical, size_t bmsz,
-                               size_t gvsz, size_t cap) {
-    if (n < 2) return kByteVarint;
-    const ForcedCodec force = forced_codec();
-    if (force == ForcedCodec::kByteVarint) return kByteVarint;
-    if (force == ForcedCodec::kBitmap ||
-        (force == ForcedCodec::kNone &&
-         static_cast<double>(bmsz) * adaptive_bitmap_margin() <=
-             static_cast<double>(canonical))) {
-      if (bmsz <= canonical && bmsz <= cap) return kBitmap;
-    }
-    if (force == ForcedCodec::kGroupVarint ||
-        (force == ForcedCodec::kNone &&
-         static_cast<double>(canonical - kHeadBytes) >=
-             adaptive_gv_bytes_per_key() * static_cast<double>(n - 1))) {
-      if (gvsz <= canonical && gvsz <= cap) return kGroupVarint;
-    }
-    return kByteVarint;
+                               size_t cap) {
+    return n >= 2 && bmsz <= canonical && bmsz <= cap ? kBitmap : kByteVarint;
   }
 
   static uint8_t select_format(const uint64_t* keys, size_t n, size_t cap) {
     if (n < 2) return kByteVarint;
     return choose_format(n, BV::encoded_size(keys, n),
-                         kHeadBytes + codec::bitmap::body_size(keys, n),
-                         GV::encoded_size(keys, n), cap);
+                         kHeadBytes + codec::bitmap::body_size(keys, n), cap);
   }
 
   // Incremental exact sizer for a growing key slice: tracks each format's
@@ -487,7 +391,7 @@ struct AdaptiveLeaf {
     uint64_t last = 0;
     uint64_t win = 0;        // bitmap window of `last`
     bool pair_open = false;  // current window already has a bitmap pair
-    size_t bv_bytes = 0, gv_bytes = 0, bm_bytes = 0;  // body bytes
+    size_t bv_bytes = 0, bm_bytes = 0;  // body bytes
 
     void add(uint64_t key) {
       if (n++ == 0) {
@@ -497,7 +401,6 @@ struct AdaptiveLeaf {
       }
       const uint64_t d = key - last;
       bv_bytes += codec::ByteVarintCodec::size(d);
-      gv_bytes += codec::GroupVarintCodec::size(d);
       const uint64_t wk = codec::bitmap::window(key);
       if (!pair_open || wk != win) {
         // New pair: biased window delta chained from the previous pair's
@@ -512,15 +415,11 @@ struct AdaptiveLeaf {
     // Exact bytes write() would materialize this slice at within `cap`.
     size_t selected_bytes(size_t cap) const {
       if (n == 0) return 0;
-      switch (choose_format(n, kHeadBytes + bv_bytes, kHeadBytes + bm_bytes,
-                            kHeadBytes + gv_bytes, cap)) {
-        case kBitmap:
-          return kHeadBytes + bm_bytes;
-        case kGroupVarint:
-          return kHeadBytes + gv_bytes;
-        default:
-          return kHeadBytes + bv_bytes;
-      }
+      return kHeadBytes +
+             (choose_format(n, kHeadBytes + bv_bytes, kHeadBytes + bm_bytes,
+                            cap) == kBitmap
+                  ? bm_bytes
+                  : bv_bytes);
     }
   };
 
@@ -530,24 +429,16 @@ struct AdaptiveLeaf {
       std::memset(leaf, 0, cap);
       return;
     }
-    switch (fmt) {
-      case kGroupVarint:
-        GV::write(leaf, cap, keys, n);  // leaves byte 8 untouched
-        leaf[8] = kGroupVarint;
-        return;
-      case kBitmap: {
-        set_head(leaf, keys[0]);
-        leaf[8] = kBitmap;
-        const size_t blen = codec::bitmap::encode_body(body(leaf), keys, n);
-        assert(kHeadBytes + blen <= cap);
-        std::memset(leaf + kHeadBytes + blen, 0, cap - kHeadBytes - blen);
-        return;
-      }
-      default:
-        BV::write(leaf, cap, keys, n);
-        leaf[8] = kByteVarint;
-        return;
+    if (fmt == kBitmap) {
+      set_head(leaf, keys[0]);
+      leaf[8] = kBitmap;
+      const size_t blen = codec::bitmap::encode_body(body(leaf), keys, n);
+      assert(kHeadBytes + blen <= cap);
+      std::memset(leaf + kHeadBytes + blen, 0, cap - kHeadBytes - blen);
+      return;
     }
+    BV::write(leaf, cap, keys, n);  // leaves byte 8 untouched
+    leaf[8] = kByteVarint;
   }
 
   static void write(uint8_t* leaf, size_t cap, const uint64_t* keys,
@@ -559,26 +450,19 @@ struct AdaptiveLeaf {
 
   struct MergeBuf {
     BV::MergeBuf bv;
-    GV::MergeBuf gv;
     std::vector<uint64_t> cur, next;
   };
 
-  // Varint formats splice their suffix in place (the format is sticky under
-  // merge); a bitmap leaf refuses, sending the engine down its materializing
-  // path, whose write() re-selects the format for the merged run.
+  // Byte-varint leaves splice their suffix in place (the format is sticky
+  // under merge); a bitmap leaf refuses, sending the engine down its
+  // materializing path, whose write() re-selects the format for the merged
+  // run.
   static bool merge_tail(uint8_t* leaf, size_t cap, const uint64_t* keys,
                          size_t k, size_t max_bytes, MergeBuf& buf,
                          size_t* need_out, uint64_t* added_out) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::merge_tail(leaf, cap, keys, k, max_bytes, buf.gv, need_out,
-                              added_out);
-      case kBitmap:
-        return false;
-      default:
-        return BV::merge_tail(leaf, cap, keys, k, max_bytes, buf.bv, need_out,
-                              added_out);
-    }
+    if (leaf[8] == kBitmap) return false;
+    return BV::merge_tail(leaf, cap, keys, k, max_bytes, buf.bv, need_out,
+                          added_out);
   }
 
   // remove_tail may NOT refuse on content (the engine treats refusal as
@@ -588,46 +472,40 @@ struct AdaptiveLeaf {
   static bool remove_tail(uint8_t* leaf, size_t cap, const uint64_t* keys,
                           size_t k, MergeBuf& buf, size_t* need_out,
                           uint64_t* removed_out) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::remove_tail(leaf, cap, keys, k, buf.gv, need_out,
-                               removed_out);
-      case kBitmap: {
-        if (head(leaf) == 0) return false;
-        auto& cur = buf.cur;
-        auto& next = buf.next;
-        cur.clear();
-        next.clear();
-        decode_append(leaf, cap, cur);
-        size_t j = 0;
-        uint64_t removed = 0;
-        for (uint64_t v : cur) {
-          while (j < k && keys[j] < v) ++j;
-          if (j < k && keys[j] == v) {
-            ++removed;
-          } else {
-            next.push_back(v);
-          }
-        }
-        if (removed == 0) {
-          *removed_out = 0;
-          return true;
-        }
-        if (next.empty()) {
-          std::memset(leaf, 0, cap);
-          *need_out = 0;
-          *removed_out = removed;
-          return true;
-        }
-        write_format(leaf, cap, next.data(), next.size(), kBitmap);
-        *need_out = used_bytes(leaf, cap);
-        *removed_out = removed;
-        return true;
-      }
-      default:
-        return BV::remove_tail(leaf, cap, keys, k, buf.bv, need_out,
-                               removed_out);
+    if (leaf[8] != kBitmap) {
+      return BV::remove_tail(leaf, cap, keys, k, buf.bv, need_out,
+                             removed_out);
     }
+    if (head(leaf) == 0) return false;
+    auto& cur = buf.cur;
+    auto& next = buf.next;
+    cur.clear();
+    next.clear();
+    decode_append(leaf, cap, cur);
+    size_t j = 0;
+    uint64_t removed = 0;
+    for (uint64_t v : cur) {
+      while (j < k && keys[j] < v) ++j;
+      if (j < k && keys[j] == v) {
+        ++removed;
+      } else {
+        next.push_back(v);
+      }
+    }
+    if (removed == 0) {
+      *removed_out = 0;
+      return true;
+    }
+    if (next.empty()) {
+      std::memset(leaf, 0, cap);
+      *need_out = 0;
+      *removed_out = removed;
+      return true;
+    }
+    write_format(leaf, cap, next.data(), next.size(), kBitmap);
+    *need_out = used_bytes(leaf, cap);
+    *removed_out = removed;
+    return true;
   }
 
   // ---- cursors --------------------------------------------------------------
@@ -651,24 +529,12 @@ struct AdaptiveLeaf {
   }
 
   static bool cursor_next(const uint8_t* leaf, size_t cap, Cursor& cur) {
-    switch (leaf[8]) {
-      case kGroupVarint: {
-        GV::Cursor c{cur.pos, cur.value};
-        bool ok = GV::cursor_next(leaf, cap, c);
-        cur.pos = c.pos;
-        cur.value = c.value;
-        return ok;
-      }
-      case kBitmap:
-        return cursor_next_bitmap(leaf, cap, cur);
-      default: {
-        BV::Cursor c{cur.pos, cur.value};
-        bool ok = BV::cursor_next(leaf, cap, c);
-        cur.pos = c.pos;
-        cur.value = c.value;
-        return ok;
-      }
-    }
+    if (leaf[8] == kBitmap) return cursor_next_bitmap(leaf, cap, cur);
+    BV::Cursor c{cur.pos, cur.value};
+    bool ok = BV::cursor_next(leaf, cap, c);
+    cur.pos = c.pos;
+    cur.value = c.value;
+    return ok;
   }
 
   struct BlockCursor {
@@ -680,26 +546,13 @@ struct AdaptiveLeaf {
 
   static size_t block_next(const uint8_t* leaf, size_t cap, BlockCursor& bc,
                            uint64_t* out, size_t max) {
-    switch (leaf[8]) {
-      case kGroupVarint: {
-        GV::BlockCursor c{bc.pos, bc.value, bc.started};
-        size_t n = GV::block_next(leaf, cap, c, out, max);
-        bc.pos = c.pos;
-        bc.value = c.value;
-        bc.started = c.started;
-        return n;
-      }
-      case kBitmap:
-        return block_next_bitmap(leaf, cap, bc, out, max);
-      default: {
-        BV::BlockCursor c{bc.pos, bc.value, bc.started};
-        size_t n = BV::block_next(leaf, cap, c, out, max);
-        bc.pos = c.pos;
-        bc.value = c.value;
-        bc.started = c.started;
-        return n;
-      }
-    }
+    if (leaf[8] == kBitmap) return block_next_bitmap(leaf, cap, bc, out, max);
+    BV::BlockCursor c{bc.pos, bc.value, bc.started};
+    size_t n = BV::block_next(leaf, cap, c, out, max);
+    bc.pos = c.pos;
+    bc.value = c.value;
+    bc.started = c.started;
+    return n;
   }
 
  private:
@@ -849,17 +702,12 @@ struct AdaptiveLeaf {
     }
 
    private:
-    using Var =
-        std::variant<BV::SpreadSeeker, GV::SpreadSeeker, BitmapSeeker>;
+    using Var = std::variant<BV::SpreadSeeker, BitmapSeeker>;
     static Var make(const uint8_t* leaf, size_t cap) {
-      switch (leaf[8]) {
-        case kGroupVarint:
-          return Var(std::in_place_type<GV::SpreadSeeker>, leaf, cap);
-        case kBitmap:
-          return Var(std::in_place_type<BitmapSeeker>, leaf, cap);
-        default:
-          return Var(std::in_place_type<BV::SpreadSeeker>, leaf, cap);
+      if (leaf[8] == kBitmap) {
+        return Var(std::in_place_type<BitmapSeeker>, leaf, cap);
       }
+      return Var(std::in_place_type<BV::SpreadSeeker>, leaf, cap);
     }
     Var v_;
   };
@@ -920,14 +768,8 @@ struct AdaptiveLeaf {
     const uint8_t sf = src[8];
     adopt(w, sf);
     if (w.fmt == sf && sf != kBitmap) {
-      assert(w.pos + codec::ByteVarintCodec::kMaxBytes + 1 <= w.cap);
-      if (sf == kGroupVarint) {
-        w.pos += codec::GroupVarintCodec::encode(src_head - w.last,
-                                                 w.dst + w.pos);
-      } else {
-        w.pos += codec::ByteVarintCodec::encode(src_head - w.last,
-                                                w.dst + w.pos);
-      }
+      assert(w.pos + codec::ByteVarintCodec::kMaxBytes <= w.cap);
+      w.pos += codec::ByteVarintCodec::encode(src_head - w.last, w.dst + w.pos);
       w.last = src_head;
       assert(w.pos + (to - kHeadBytes) <= w.cap);
       std::memcpy(w.dst + w.pos, src + kHeadBytes, to - kHeadBytes);
@@ -966,31 +808,23 @@ struct AdaptiveLeaf {
   static void append_one(SpreadWriter& w, uint64_t key) {
     namespace bm = codec::bitmap;
     if (!w.decided) adopt(w, kByteVarint);
-    switch (w.fmt) {
-      case kGroupVarint:
-        assert(w.pos + codec::GroupVarintCodec::kMaxBytes <= w.cap);
-        w.pos += codec::GroupVarintCodec::encode(key - w.last, w.dst + w.pos);
-        break;
-      case kBitmap: {
-        const uint64_t wk = bm::window(key);
-        if (w.last_pair != 0 && wk == bm::window(w.last)) {
-          const size_t woff = w.last_pair + bm::Var::skip(w.dst + w.last_pair);
-          uint64_t word;
-          std::memcpy(&word, w.dst + woff, 8);
-          word |= bm::bit_mask(key);
-          std::memcpy(w.dst + woff, &word, 8);
-        } else {
-          assert(w.pos + bm::kMaxPairBytes <= w.cap);
-          w.last_pair = w.pos;
-          w.pos += bm::store_pair(w.dst + w.pos, wk - bm::window(w.last),
-                                  bm::bit_mask(key));
-        }
-        break;
+    if (w.fmt == kBitmap) {
+      const uint64_t wk = bm::window(key);
+      if (w.last_pair != 0 && wk == bm::window(w.last)) {
+        const size_t woff = w.last_pair + bm::Var::skip(w.dst + w.last_pair);
+        uint64_t word;
+        std::memcpy(&word, w.dst + woff, 8);
+        word |= bm::bit_mask(key);
+        std::memcpy(w.dst + woff, &word, 8);
+      } else {
+        assert(w.pos + bm::kMaxPairBytes <= w.cap);
+        w.last_pair = w.pos;
+        w.pos += bm::store_pair(w.dst + w.pos, wk - bm::window(w.last),
+                                bm::bit_mask(key));
       }
-      default:
-        assert(w.pos + codec::ByteVarintCodec::kMaxBytes <= w.cap);
-        w.pos += codec::ByteVarintCodec::encode(key - w.last, w.dst + w.pos);
-        break;
+    } else {
+      assert(w.pos + codec::ByteVarintCodec::kMaxBytes <= w.cap);
+      w.pos += codec::ByteVarintCodec::encode(key - w.last, w.dst + w.pos);
     }
     w.last = key;
   }
@@ -1082,45 +916,33 @@ struct AdaptiveLeaf {
   static void transcode_range(SpreadWriter& w, const uint8_t* src,
                               size_t from, size_t to) {
     namespace bm = codec::bitmap;
-    switch (src[8]) {
-      case kBitmap: {
-        const uint8_t* sb = body(src);
-        const size_t boff = from - kHeadBytes;
-        const size_t bend = to - kHeadBytes;
-        uint64_t win = bm::window(w.last);
-        bool first = true;
-        size_t q = boff;
-        while (q < bend && sb[q] != 0) {
-          bm::Pair p = bm::load_pair(sb + q);
-          // Same anchoring rule as copy_tail_bitmap's first pair.
-          const uint64_t pw = (first && from != kHeadBytes)
-                                  ? bm::window(w.last)
-                                  : win + p.wdelta;
-          uint64_t word = p.word;
-          if (pw == bm::window(w.last)) word &= bm::above_mask(w.last);
-          while (word != 0) {
-            append_one(w, (pw << 6) |
-                              static_cast<unsigned>(__builtin_ctzll(word)));
-            word &= word - 1;
-          }
-          win = pw;
-          q += p.len;
-          first = false;
-        }
-        return;
+    if (src[8] != kBitmap) {
+      codec::DeltaStream<codec::ByteVarintCodec> s(src + from, to - from,
+                                                   w.last);
+      while (s.next()) append_one(w, s.value());
+      return;
+    }
+    const uint8_t* sb = body(src);
+    const size_t boff = from - kHeadBytes;
+    const size_t bend = to - kHeadBytes;
+    uint64_t win = bm::window(w.last);
+    bool first = true;
+    size_t q = boff;
+    while (q < bend && sb[q] != 0) {
+      bm::Pair p = bm::load_pair(sb + q);
+      // Same anchoring rule as copy_tail_bitmap's first pair.
+      const uint64_t pw =
+          (first && from != kHeadBytes) ? bm::window(w.last) : win + p.wdelta;
+      uint64_t word = p.word;
+      if (pw == bm::window(w.last)) word &= bm::above_mask(w.last);
+      while (word != 0) {
+        append_one(w,
+                   (pw << 6) | static_cast<unsigned>(__builtin_ctzll(word)));
+        word &= word - 1;
       }
-      case kGroupVarint: {
-        codec::DeltaStream<codec::GroupVarintCodec> s(src + from, to - from,
-                                                      w.last);
-        while (s.next()) append_one(w, s.value());
-        return;
-      }
-      default: {
-        codec::DeltaStream<codec::ByteVarintCodec> s(src + from, to - from,
-                                                     w.last);
-        while (s.next()) append_one(w, s.value());
-        return;
-      }
+      win = pw;
+      q += p.len;
+      first = false;
     }
   }
 };

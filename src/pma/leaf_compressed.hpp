@@ -68,21 +68,13 @@ struct CompressedLeaf {
   // One past the last used byte (head included); 0 for an empty leaf. The
   // only end-of-stream rescan left in the leaf: queries stop at the
   // terminator inline, so only mutations (which memmove the tail) call it.
-  // Zero-free codecs memchr for the terminator; codecs whose payload bytes
-  // may be 0x00 hop code to code instead (terminators are only meaningful
-  // at code boundaries).
+  // Codes contain no 0x00 byte, so a memchr finds the terminator.
   static size_t used_bytes(const uint8_t* leaf, size_t cap) {
     if (head(leaf) == 0) return 0;
-    if constexpr (codec::kCodecZeroFree<Codec>) {
-      const void* z = std::memchr(leaf + kHeadBytes, 0, cap - kHeadBytes);
-      return z == nullptr
-                 ? cap
-                 : static_cast<size_t>(static_cast<const uint8_t*>(z) - leaf);
-    } else {
-      size_t pos = kHeadBytes;
-      while (pos < cap && leaf[pos] != 0) pos += Codec::skip(leaf + pos);
-      return pos;
-    }
+    const void* z = std::memchr(leaf + kHeadBytes, 0, cap - kHeadBytes);
+    return z == nullptr
+               ? cap
+               : static_cast<size_t>(static_cast<const uint8_t*>(z) - leaf);
   }
 
   static uint64_t element_count(const uint8_t* leaf, size_t cap) {

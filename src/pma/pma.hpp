@@ -62,6 +62,19 @@ struct BatchPhaseTimes {
   uint64_t batches = 0;          // merge-path batches measured
   uint64_t rebuilds = 0;         // rebuild-path batches measured
   uint64_t spreads = 0;          // direct-spread resizes measured
+
+  BatchPhaseTimes& operator+=(const BatchPhaseTimes& o) {
+    route_ns += o.route_ns;
+    merge_ns += o.merge_ns;
+    count_ns += o.count_ns;
+    redistribute_ns += o.redistribute_ns;
+    spread_ns += o.spread_ns;
+    rebuild_ns += o.rebuild_ns;
+    batches += o.batches;
+    rebuilds += o.rebuilds;
+    spreads += o.spreads;
+    return *this;
+  }
 };
 
 namespace detail {

@@ -7,8 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/env.hpp"
 
@@ -20,57 +18,10 @@ namespace cpma::pma {
 // (<= 2*10-1 extra bytes) or displaces the head (8 + 10 bytes).
 constexpr size_t kLeafSlack = 24;
 
-// --------------------------------------------------------------------------
-// Codec and adaptive-selection knobs. Runtime values, read from the
-// environment once per process, so bench sweeps can tune them without a
-// rebuild. The defaults are the measured-good values; the env names are
-// documented in README "Leaf codecs & adaptive selection".
-// --------------------------------------------------------------------------
-
-// ByteVarintCodec::prefer_scalar: number of continue bits in an 8-byte
-// probe at or above which next_block takes the tight scalar loop instead of
-// the block path (>= 3 of 8 bytes in multi-byte codes means at most ~5
-// values per window, so the word fast path cannot engage).
-// The knob values live in namespace-scope inline variables, not
-// function-local statics: the getters sit on decode hot paths (prefer_scalar
-// runs once per 8-byte probe) and a local static would re-check its guard on
-// every call, where these compile to a plain load.
-namespace detail {
-inline const unsigned kPreferScalarThreshold =
-    static_cast<unsigned>(util::env_u64("CPMA_PREFER_SCALAR_THRESHOLD", 3));
-}  // namespace detail
-
-inline unsigned prefer_scalar_threshold() {
-  return detail::kPreferScalarThreshold;
-}
-
-// Adaptive leaf selection: the bitmap format is chosen when its exact
-// encoded size times this margin is no larger than the canonical
-// (byte-varint) size. 1.0 selects bitmap whenever it is at least as small;
-// raise it to demand a size advantage before accepting bitmap's higher
-// point-update cost. (A span/density pre-filter proved too blunt: a leaf
-// holding several dense islands separated by large gaps has a huge span
-// but still compresses ~6x better as a bitmap — window-delta links cost
-// ~14 bytes per gap.)
-namespace detail {
-inline const double kAdaptiveBitmapMargin =
-    util::env_double("CPMA_ADAPTIVE_BITMAP_MARGIN", 1.0);
-}  // namespace detail
-
-inline double adaptive_bitmap_margin() { return detail::kAdaptiveBitmapMargin; }
-
-// Adaptive leaf selection: average canonical (byte-varint) bytes per key at
-// or above which the group-varint format is attempted — the multi-byte-delta
-// regime where its unconditional-width block decode beats per-byte
-// continue-bit chasing.
-namespace detail {
-inline const double kAdaptiveGvBytesPerKey =
-    util::env_double("CPMA_ADAPTIVE_GV_BYTES_PER_KEY", 2.5);
-}  // namespace detail
-
-inline double adaptive_gv_bytes_per_key() {
-  return detail::kAdaptiveGvBytesPerKey;
-}
+// Runtime knobs, read from the environment once per process. The knob
+// values live in namespace-scope inline variables, not function-local
+// statics, so a getter on a hot path compiles to a plain load instead of
+// re-checking a local static's guard on every call.
 
 // CPMA_EYTZINGER=0 disables the branchless Eytzinger mirror of the head
 // index (head_eytzinger.hpp) and falls back to the flat two-binary-search
@@ -82,24 +33,6 @@ inline const bool kEytzingerEnabled = util::env_u64("CPMA_EYTZINGER", 1) != 0;
 }  // namespace detail
 
 inline bool eytzinger_enabled() { return detail::kEytzingerEnabled; }
-
-// CPMA_FORCE_CODEC=byte-varint|group-varint|bitmap pins the adaptive leaf
-// to one format (debug aid; bitmap/group-varint still fall back to
-// byte-varint when the forced format cannot fit a particular run).
-enum class ForcedCodec { kNone, kByteVarint, kGroupVarint, kBitmap };
-
-namespace detail {
-inline const ForcedCodec kForcedCodec = [] {
-  const char* s = std::getenv("CPMA_FORCE_CODEC");
-  if (s == nullptr || *s == '\0') return ForcedCodec::kNone;
-  if (std::strcmp(s, "byte-varint") == 0) return ForcedCodec::kByteVarint;
-  if (std::strcmp(s, "group-varint") == 0) return ForcedCodec::kGroupVarint;
-  if (std::strcmp(s, "bitmap") == 0) return ForcedCodec::kBitmap;
-  return ForcedCodec::kNone;
-}();
-}  // namespace detail
-
-inline ForcedCodec forced_codec() { return detail::kForcedCodec; }
 
 struct PmaSettings {
   // Array growth multiplier when the root's upper density bound is violated

@@ -223,18 +223,7 @@ class ShardedPMA : public ShardedReads<ShardedPMA<Engine>, Engine> {
   BatchPhaseTimes batch_phase_times() const {
     BatchPhaseTimes t;
     t.route_ns = router_times_.route_ns;
-    for (const Engine& e : shards_) {
-      const BatchPhaseTimes& p = e.batch_phase_times();
-      t.route_ns += p.route_ns;
-      t.merge_ns += p.merge_ns;
-      t.count_ns += p.count_ns;
-      t.redistribute_ns += p.redistribute_ns;
-      t.spread_ns += p.spread_ns;
-      t.rebuild_ns += p.rebuild_ns;
-      t.batches += p.batches;
-      t.rebuilds += p.rebuilds;
-      t.spreads += p.spreads;
-    }
+    for (const Engine& e : shards_) t += e.batch_phase_times();
     return t;
   }
   void reset_batch_phase_times() {

@@ -9,8 +9,8 @@
 
 #include "codec/delta.hpp"
 #include "codec/delta_stream.hpp"
-#include "codec/group_varint.hpp"
 #include "codec/varint.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/random.hpp"
 
 namespace codec = cpma::codec;
@@ -131,21 +131,6 @@ TEST(Delta, EmptyRange) {
 // DeltaStream: the leaf layer's streaming decode kernel.
 // ---------------------------------------------------------------------------
 
-// A codec with none of the optional bulk hooks, forcing DeltaStream's
-// generic scalar fallbacks — the path an alternative codec starts on.
-struct ScalarOnlyCodec {
-  static constexpr const char* name = "scalar-only";
-  static constexpr size_t kMaxBytes = codec::kMaxVarintBytes;
-  static constexpr size_t size(uint64_t v) { return codec::varint_size(v); }
-  static size_t encode(uint64_t v, uint8_t* dst) {
-    return codec::varint_encode(v, dst);
-  }
-  static size_t decode(const uint8_t* src, uint64_t* out) {
-    return codec::varint_decode(src, out);
-  }
-  static size_t skip(const uint8_t* src) { return codec::varint_skip(src); }
-};
-
 namespace {
 
 // Sorted strictly-increasing keys whose deltas mix widths: `dense_bias` of
@@ -195,8 +180,7 @@ std::vector<uint8_t> encode_body_as(const std::vector<uint64_t>& keys,
 template <typename Codec>
 class DeltaStreamTest : public ::testing::Test {};
 
-using StreamCodecs = ::testing::Types<codec::ByteVarintCodec, ScalarOnlyCodec,
-                                      codec::GroupVarintCodec>;
+using StreamCodecs = ::testing::Types<codec::ByteVarintCodec, ScalarOnlyCodec>;
 TYPED_TEST_SUITE(DeltaStreamTest, StreamCodecs);
 
 TYPED_TEST(DeltaStreamTest, ScalarNextMatchesKeys) {
@@ -320,6 +304,21 @@ TYPED_TEST(DeltaStreamTest, BlockDecodeMatchesScalarOnMultiByteHeavyStreams) {
   }
 }
 
+TEST(ByteVarintCodec, PreferScalarNeedsThreeContinueBitsInTheProbeWord) {
+  // The probe reads the next 8 bytes: three or more continue bits leave at
+  // most ~5 codes starting there, too few for the word fast path.
+  using BV = codec::ByteVarintCodec;
+  const uint8_t two[8] = {0x81, 0x01, 0x82, 0x01, 1, 1, 1, 1};
+  const uint8_t three[8] = {0x81, 0x01, 0x82, 0x01, 0x83, 0x01, 1, 1};
+  EXPECT_FALSE(BV::prefer_scalar(two, 8));
+  EXPECT_TRUE(BV::prefer_scalar(three, 8));
+  // A terminator inside the window leaves the short run to decode_block.
+  const uint8_t ends[8] = {0x81, 0x01, 0x82, 0x01, 0x83, 0x01, 0, 0};
+  EXPECT_FALSE(BV::prefer_scalar(ends, 8));
+  // Fewer than 8 readable bytes: decode_block's tail loop, never scalar.
+  EXPECT_FALSE(BV::prefer_scalar(three, 7));
+}
+
 TEST(DeltaStream, ProbeSwitchesBetweenScalarAndBlockPathsMidStream) {
   // Long alternating stretches of 1-byte and 3-byte deltas: successive
   // next_block calls flip between the word fast path and the scalar
@@ -341,63 +340,6 @@ TEST(DeltaStream, ProbeSwitchesBetweenScalarAndBlockPathsMidStream) {
     }
     EXPECT_EQ(out, keys) << "block=" << block;
   }
-}
-
-// ---------------------------------------------------------------------------
-// GroupVarintCodec: control-byte layout specifics the typed suite above
-// can't see from the outside.
-// ---------------------------------------------------------------------------
-
-TEST(GroupVarint, SizeSteps) {
-  using GV = codec::GroupVarintCodec;
-  // 5 low bits ride in the control byte, payload widths step at 1/2/4/8
-  // bytes: totals 2/3/5/9 with breaks at 2^13 / 2^21 / 2^37.
-  EXPECT_EQ(GV::size(1), 2u);
-  EXPECT_EQ(GV::size((uint64_t{1} << 13) - 1), 2u);
-  EXPECT_EQ(GV::size(uint64_t{1} << 13), 3u);
-  EXPECT_EQ(GV::size((uint64_t{1} << 21) - 1), 3u);
-  EXPECT_EQ(GV::size(uint64_t{1} << 21), 5u);
-  EXPECT_EQ(GV::size((uint64_t{1} << 37) - 1), 5u);
-  EXPECT_EQ(GV::size(uint64_t{1} << 37), 9u);
-  EXPECT_EQ(GV::size(~uint64_t{0}), 9u);
-}
-
-TEST(GroupVarint, RandomRoundtripAndNonzeroControlByte) {
-  using GV = codec::GroupVarintCodec;
-  static_assert(!codec::kCodecZeroFree<GV>);
-  static_assert(codec::kCodecZeroFree<codec::ByteVarintCodec>);
-  static_assert(codec::kCodecZeroFree<ScalarOnlyCodec>);  // default when absent
-  Rng r(31);
-  for (int i = 0; i < 50000; ++i) {
-    uint64_t v = (r.next() >> (r.next() % 64)) | 1;
-    uint8_t buf[GV::kMaxBytes];
-    size_t n = GV::encode(v, buf);
-    EXPECT_EQ(n, GV::size(v));
-    // The marker bit keeps every control byte nonzero — the code-boundary
-    // terminator contract (payload bytes MAY be zero).
-    EXPECT_GE(buf[0], 0x80) << "v=" << v;
-    uint64_t out;
-    EXPECT_EQ(GV::decode(buf, &out), n);
-    EXPECT_EQ(out, v);
-    EXPECT_EQ(GV::skip(buf), n);
-  }
-}
-
-TEST(GroupVarint, BlockDecodeStopsAtZeroPayloadBoundary) {
-  // Deltas < 32 encode a 0x00 PAYLOAD byte; the stream must not mistake it
-  // for the terminator (zero checks happen only at code starts).
-  using GV = codec::GroupVarintCodec;
-  std::vector<uint64_t> keys;
-  uint64_t cur = 100;
-  keys.push_back(cur);
-  for (int i = 0; i < 300; ++i) keys.push_back(cur += 1 + i % 31);
-  auto body = encode_body_as<GV>(keys, 4);
-  codec::DeltaStream<GV> s(body.data(), body.size(), keys[0]);
-  std::vector<uint64_t> out{keys[0]};
-  uint64_t buf[64];
-  while (size_t k = s.next_block(buf, 64)) out.insert(out.end(), buf, buf + k);
-  EXPECT_EQ(out, keys);
-  EXPECT_TRUE(s.done());
 }
 
 TEST(DeltaStream, WordFastPathCrossesMultiByteBoundaries) {

@@ -25,7 +25,7 @@ namespace {
 
 // All four structures under one roof; every mutation goes through here so
 // the operation streams cannot diverge. ACPMA exercises the adaptive
-// per-leaf codec selection (bitmap leaves in the dense spaces, group-varint
+// per-leaf codec selection (bitmap leaves in the dense spaces, byte-varint
 // in the sparse ones) on the exact same stream as the canonical engines.
 struct Trio {
   PMA pma;

@@ -217,3 +217,25 @@ TEST(AlgoDynamic, PRTracksGraphUpdates) {
   auto pf = pagerank(f), pcsr = pagerank(csr);
   for (size_t v = 0; v < pf.size(); ++v) ASSERT_NEAR(pf[v], pcsr[v], 1e-12);
 }
+
+TEST(AlgoRunScan, PageRankHubDegreesSpanningManyLeaves) {
+  // Each hub's neighborhood covers many leaves, so the run scan emits its
+  // degree in parts from concurrent workers; every part must land. Repeated
+  // runs give interleavings the chance to show a lost update.
+  const vertex_t n = 2048, hubs = 8;
+  std::vector<uint64_t> edges;
+  for (vertex_t h = 0; h < hubs; ++h) {
+    for (vertex_t v = hubs; v < n; v += 1 + h) {
+      edges.push_back(edge_key(h, v));
+      edges.push_back(edge_key(v, h));
+    }
+  }
+  FGraph g(n, edges);
+  const auto want = pagerank_ref(adjacency(n, symmetrize(edges)));
+  for (int run = 0; run < 20; ++run) {
+    const auto got = pagerank(g);
+    for (vertex_t v = 0; v < n; ++v) {
+      ASSERT_NEAR(got[v], want[v], 1e-9) << "run " << run << " vertex " << v;
+    }
+  }
+}

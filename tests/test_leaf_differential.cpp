@@ -1,13 +1,14 @@
 // Leaf-level differential property test: drives each compressed leaf policy
-// (byte-varint, group-varint, adaptive multi-format) and UncompressedLeaf
+// (byte-varint, the same wire format through a codec with no bulk hooks,
+// adaptive byte-varint/bitmap) and UncompressedLeaf
 // through identical randomized insert/remove/query sequences and asserts the
 // two policies expose identical observable state (decode, counts, sums,
 // lookups, map, cursors, block streaming) after every mutation. A shadow
 // sorted vector gates inserts on capacity so both leaves always execute the
 // same operation within their engine preconditions. Periodic write() resets
 // re-materialize from the shadow, which for AdaptiveLeaf re-runs format
-// selection mid-sequence (so bitmap and group-varint leaves also see the
-// point insert/remove paths).
+// selection mid-sequence (so bitmap leaves also see the point insert/remove
+// paths).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,11 +17,11 @@
 #include <set>
 #include <vector>
 
-#include "codec/group_varint.hpp"
 #include "pma/leaf_adaptive.hpp"
 #include "pma/leaf_compressed.hpp"
 #include "pma/leaf_uncompressed.hpp"
 #include "pma/settings.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/random.hpp"
 
 using cpma::util::Rng;
@@ -29,7 +30,7 @@ namespace pma = cpma::pma;
 namespace {
 
 using BvLeaf = pma::CompressedLeaf<>;
-using GvLeaf = pma::CompressedLeaf<cpma::codec::GroupVarintCodec, 9>;
+using ScalarLeaf = pma::CompressedLeaf<ScalarOnlyCodec>;
 using ALeaf = pma::AdaptiveLeaf;
 using ULeaf = pma::UncompressedLeaf;
 
@@ -195,7 +196,7 @@ void run_differential(uint64_t seed, int regime, int steps) {
 template <typename Leaf>
 class LeafDifferential : public ::testing::Test {};
 
-using CompressedPolicies = ::testing::Types<BvLeaf, GvLeaf, ALeaf>;
+using CompressedPolicies = ::testing::Types<BvLeaf, ScalarLeaf, ALeaf>;
 TYPED_TEST_SUITE(LeafDifferential, CompressedPolicies);
 
 TYPED_TEST(LeafDifferential, DenseKeys) {
@@ -244,6 +245,90 @@ TYPED_TEST(LeafDifferential, WriteRoundtripMatchesAcrossPolicies) {
   }
 }
 
+// ---- incremental format sizing (AdaptiveLeaf only) -------------------------
+//
+// The engine packs leaves by StreamSizer::selected_bytes (the bytes a slice
+// will materialize at in its selected format) and budgets them by
+// encoded_size (canonical byte-varint cost). Both must agree with what
+// write() actually lays down.
+
+namespace {
+
+// Sorted unique keys for one regime: dense, dense runs, uniform 40-bit,
+// sparse 60-bit, and mixed: stride-2 runs between single keys whose gaps
+// sit at bitmap window-delta varint boundaries (2^b - 1 windows, +-1).
+std::vector<uint64_t> gen_regime_keys(Rng& r, int regime, size_t n) {
+  if (regime == 4) {
+    std::vector<uint64_t> keys;
+    uint64_t cur = 1;
+    while (keys.size() < n) {
+      if (r.next() % 4 == 0) {
+        for (int i = 0; i < 64; ++i) keys.push_back(cur += 2);
+      } else {
+        const uint64_t windows =
+            (uint64_t{1} << (1 + r.next() % 20)) - 2 + r.next() % 3;
+        keys.push_back(cur += 64 * windows + 1 + r.next() % 63);
+      }
+    }
+    keys.resize(n);
+    return keys;
+  }
+  std::set<uint64_t> s;
+  while (s.size() < n) {
+    switch (regime) {
+      case 0:
+        s.insert(1 + r.next() % (3 * n));
+        break;
+      case 1: {
+        const uint64_t start = 1 + r.next() % (uint64_t{1} << 40);
+        const uint64_t len = 16 + r.next() % 200;
+        for (uint64_t i = 0; i < len; ++i) s.insert(start + i);
+        break;
+      }
+      case 2:
+        s.insert(1 + r.next() % (uint64_t{1} << 40));
+        break;
+      default:
+        s.insert(1 + r.next() % (uint64_t{1} << 60));
+        break;
+    }
+  }
+  return {s.begin(), s.end()};
+}
+
+}  // namespace
+
+TEST(AdaptiveLeafSizer, SelectedBytesMatchWriteWithinCanonicalCost) {
+  for (int regime = 0; regime < 5; ++regime) {
+    Rng r(300 + static_cast<uint64_t>(regime));
+    const auto keys = gen_regime_keys(r, regime, 40000);
+    size_t bitmap_slices = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+      const size_t n = r.next() % 257;
+      const size_t begin = r.next() % (keys.size() - n);
+      const uint64_t* slice = keys.data() + begin;
+      ALeaf::StreamSizer sizer;
+      for (size_t i = 0; i < n; ++i) sizer.add(slice[i]);
+      const size_t canonical = n == 0 ? 0 : ALeaf::encoded_size(slice, n);
+      const size_t cap = std::max<size_t>(canonical, ALeaf::kHeadBytes) +
+                         r.next() % 64;
+      std::vector<uint8_t> leaf(cap, 0xff);
+      ALeaf::write(leaf.data(), cap, slice, n);
+      const size_t used = ALeaf::used_bytes(leaf.data(), cap);
+      ASSERT_EQ(sizer.selected_bytes(cap), used)
+          << "regime=" << regime << " trial=" << trial << " n=" << n;
+      ASSERT_LE(used, canonical)
+          << "regime=" << regime << " trial=" << trial << " n=" << n;
+      if (n > 0 && ALeaf::format_of(leaf.data()) == ALeaf::kBitmap) {
+        ++bitmap_slices;
+      }
+    }
+    if (regime == 1) {
+      EXPECT_GT(bitmap_slices, 0u);
+    }
+  }
+}
+
 // ---- cross-format spread stitching (AdaptiveLeaf only) ---------------------
 //
 // The engine only direct-spreads uniformly byte-varint arrays (pma_impl
@@ -271,8 +356,7 @@ TEST(AdaptiveLeafSpread, CrossFormatJoinRoundTrip) {
   // Stitch several source leaves of cycling forced formats into one
   // destination; the decoded destination must equal the concatenation.
   Rng r(57);
-  const uint8_t fmts[3] = {ALeaf::kByteVarint, ALeaf::kGroupVarint,
-                           ALeaf::kBitmap};
+  const uint8_t fmts[2] = {ALeaf::kByteVarint, ALeaf::kBitmap};
   for (int trial = 0; trial < 120; ++trial) {
     size_t nsrc = 2 + r.next() % 3;
     std::vector<std::vector<uint8_t>> srcs;
@@ -284,7 +368,7 @@ TEST(AdaptiveLeafSpread, CrossFormatJoinRoundTrip) {
       for (auto& k : keys) k += lo;  // keep sources strictly increasing
       lo = keys.back() + 1 + r.next() % 1000;
       srcs.emplace_back(kSrcCap, 0);
-      uint8_t fmt = fmts[(trial + i) % 3];
+      uint8_t fmt = fmts[(trial + i) % 2];
       ALeaf::write_format(srcs.back().data(), kSrcCap, keys.data(),
                           keys.size(), fmt);
       ASSERT_EQ(drain<ALeaf>(srcs.back().data()), keys) << "fmt=" << int(fmt);
@@ -325,13 +409,12 @@ TEST(AdaptiveLeafSpread, SplitRoundTripAllFormats) {
   // SpreadSeeker and re-stitch the segments; the concatenation of the
   // destination decodes must equal the source.
   Rng r(58);
-  const uint8_t fmts[3] = {ALeaf::kByteVarint, ALeaf::kGroupVarint,
-                           ALeaf::kBitmap};
+  const uint8_t fmts[2] = {ALeaf::kByteVarint, ALeaf::kBitmap};
   for (int trial = 0; trial < 90; ++trial) {
     int regime = trial % 4;
     auto keys = gen_sorted(r, regime == 2 ? 3 : regime, 2 + r.next() % 50);
     std::vector<uint8_t> src(kSrcCap, 0);
-    uint8_t fmt = fmts[trial % 3];
+    uint8_t fmt = fmts[trial % 2];
     ALeaf::write_format(src.data(), kSrcCap, keys.data(), keys.size(), fmt);
     size_t used = ALeaf::used_bytes(src.data(), kSrcCap);
     size_t budget = used <= 17 ? used : 16 + r.next() % (used - 16);

@@ -343,6 +343,23 @@ TYPED_TEST(PmaBatchTest, MergePathGrowsOnRootViolation) {
   EXPECT_EQ(contents(p), std::vector<uint64_t>(ref.begin(), ref.end()));
 }
 
+TEST(BatchPhaseTimes, PlusEqualsAddsEveryField) {
+  cpma::pma::BatchPhaseTimes a{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const cpma::pma::BatchPhaseTimes b{10, 20, 30, 40, 50, 60, 70, 80, 90};
+  cpma::pma::BatchPhaseTimes& r = (a += b);
+  EXPECT_EQ(&r, &a);
+  EXPECT_EQ(a.route_ns, 11u);
+  EXPECT_EQ(a.merge_ns, 22u);
+  EXPECT_EQ(a.count_ns, 33u);
+  EXPECT_EQ(a.redistribute_ns, 44u);
+  EXPECT_EQ(a.spread_ns, 55u);
+  EXPECT_EQ(a.rebuild_ns, 66u);
+  EXPECT_EQ(a.batches, 77u);
+  EXPECT_EQ(a.rebuilds, 88u);
+  EXPECT_EQ(a.spreads, 99u);
+  EXPECT_EQ(b.route_ns, 10u);  // the right-hand side is untouched
+}
+
 TYPED_TEST(PmaBatchTest, PhaseTimesAccumulateAcrossStrategies) {
   TypeParam p;
   EXPECT_EQ(p.batch_phase_times().batches, 0u);

@@ -457,6 +457,36 @@ TYPED_TEST(Sharded, RebalanceRestoresBalance) {
   EXPECT_EQ(sharded.router_times().rebalances, 0u);
 }
 
+// Every BatchPhaseTimes field, in declaration order.
+std::vector<uint64_t> phase_fields(const cpma::pma::BatchPhaseTimes& t) {
+  return {t.route_ns,  t.merge_ns,   t.count_ns, t.redistribute_ns,
+          t.spread_ns, t.rebuild_ns, t.batches,  t.rebuilds,
+          t.spreads};
+}
+
+// The sharded breakdown is the router's routing time plus each shard's
+// pipeline breakdown, field by field.
+TYPED_TEST(Sharded, PhaseTimesSumRouterAndShards) {
+  using Engine = typename TypeParam::Engine;
+  ShardedPMA<Engine> sharded(test_settings(4));
+  Rng r(91);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<uint64_t> batch(20'000);
+    for (auto& k : batch) k = 1 + r.next() % (uint64_t{1} << 40);
+    sharded.insert_batch(batch.data(), batch.size());
+    std::vector<uint64_t> gone(batch.begin(), batch.begin() + 5'000);
+    sharded.remove_batch(gone.data(), gone.size());
+  }
+  std::vector<uint64_t> want(9, 0);
+  want[0] = sharded.router_times().route_ns;
+  for (uint64_t s = 0; s < sharded.num_shards(); ++s) {
+    const auto f = phase_fields(sharded.shard(s).batch_phase_times());
+    for (size_t i = 0; i < want.size(); ++i) want[i] += f[i];
+  }
+  EXPECT_EQ(phase_fields(sharded.batch_phase_times()), want);
+  EXPECT_GT(want[6] + want[7], 0u);  // some shard ran a batch
+}
+
 // Bulk constructor: sort/dedupe + quantile splitters + per-shard
 // build_from_sorted, checked against the incremental path.
 TYPED_TEST(Sharded, BulkConstruction) {
