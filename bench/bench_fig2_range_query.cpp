@@ -18,7 +18,6 @@
 //   mode=batch   the SAME disjoint key ranges answered by one map_ranges
 //                call instead of a per-op map_range loop — measures the
 //                amortized multi-range path against its per-op twin.
-// The eytz= field records which head-index descent kernel answered.
 #include <atomic>
 #include <cstdio>
 #include <utility>
@@ -149,9 +148,8 @@ S build(const std::vector<uint64_t>& base) {
 void emit(const char* name, uint64_t len, const char* dist, const char* mode,
           double tp) {
   std::printf("RESULT bench=range_query struct=%s len=%llu dist=%s mode=%s "
-              "eytz=%s elems_per_s=%.6e\n",
-              name, (unsigned long long)len, dist, mode,
-              cpma::pma::eytzinger_enabled() ? "on" : "off", tp);
+              "elems_per_s=%.6e\n",
+              name, (unsigned long long)len, dist, mode, tp);
 }
 
 }  // namespace

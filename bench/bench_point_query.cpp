@@ -2,15 +2,12 @@
 // forms (has_batch / successor_batch), per structure and distribution.
 //
 // The per-op rows are the read-side twin of bench_micro_ops' point rows and
-// the Eytzinger kernel's acceptance gauge: the same binary run with
-// CPMA_EYTZINGER=0 takes the flat head-index descent (pre-batch-engine
-// behavior), so two runs of this bench isolate the layout's effect on the
-// same build. The eytz= field on every RESULT line records which kernel
-// answered, making tracked snapshots self-describing.
+// the gauge of the engine's one descent kernel (the Eytzinger head-index
+// mirror).
 //
 // The batch rows time ONE has_batch/successor_batch call over a sorted query
 // batch against a parallel per-op loop over the same batch — both use the
-// whole machine, so the ratio is pure amortization (shared routing gallop +
+// whole machine, so the ratio is pure amortization (shared batch routing +
 // one decode per touched leaf), not parallelism.
 //
 // Scenario rows beyond uniform:
@@ -101,8 +98,7 @@ void emit(const char* name, const char* op, const char* dist, const char* mode,
   if (shards > 0) std::printf("shards=%llu ", (unsigned long long)shards);
   std::printf("op=%s dist=%s mode=%s ", op, dist, mode);
   if (batch > 0) std::printf("batch=%llu ", (unsigned long long)batch);
-  std::printf("eytz=%s ops_per_s=%.6e\n",
-              cpma::pma::eytzinger_enabled() ? "on" : "off", tp);
+  std::printf("ops_per_s=%.6e\n", tp);
 }
 
 // Each distribution in two orders: the per-op rows probe in arrival (random)

@@ -489,7 +489,7 @@ bool PackedMemoryArray<Leaf>::resize_spread(bool growing, BatchContext* ctx) {
 
   // Pass 3: stitch every destination leaf from its two boundaries — byte
   // copies inside source leaves, one re-encoded delta per source-leaf join.
-  util::uvector<uint8_t> ndata(nn * nlb);
+  util::huge_uvector<uint8_t> ndata(nn * nlb);
   par::parallel_for(0, nn, [&](uint64_t j) {
     uint8_t* dst = ndata.data() + j * nlb;
     SpreadSplit s0 = resolve(rs.splits[j]);
@@ -554,33 +554,29 @@ bool PackedMemoryArray<Leaf>::resize_spread(bool growing, BatchContext* ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch phase 1a: flat routing. One parallel partition of the sorted batch
-// against the head-index boundaries replaces the old fork-join recursion
-// (which re-ran find_leaf plus two binary searches at every node): each
-// chunk gallops leaf by leaf — the next-head search doubles as the next
-// run's leaf locator — and the chunk lists concatenate into a dense work
-// list that is sorted by leaf by construction.
+// Batch phase 1a: routing, one router for batch updates and batch queries.
+// A dense batch is partitioned by a gallop: each chunk walks leaf by leaf —
+// the next-head search doubles as the next run's leaf locator — and the
+// chunk lists concatenate into a dense work list sorted by leaf by
+// construction. A sparse batch (sparse_batch) is split into one chunk per
+// worker, and each chunk descends its keys kGroup at a time in lockstep
+// through the Eytzinger mirror; batch queries also prefetch every target
+// leaf before probing the group's runs.
 // ---------------------------------------------------------------------------
 
-// Batch keys per routing chunk. Routing a chunk costs O(runs * log) after
-// one find_leaf, so chunks only exist to expose parallelism.
+// Batch keys per dense routing chunk. Routing a chunk costs O(runs * log)
+// after one find_leaf, so chunks only exist to expose parallelism.
 constexpr uint64_t kRouteChunkKeys = 2048;
+
+// Run-task grain of dense batch queries: same as the merge phase's
+// parallel_for over leaf runs.
+constexpr uint64_t kQueryRunGrain = 4;
 
 template <typename Leaf>
 std::pair<uint64_t, uint64_t> PackedMemoryArray<Leaf>::run_end(
     uint64_t l, const key_type* batch, uint64_t n, uint64_t i) const {
-  // After a redistribution nearly every leaf is nonempty, so the next
-  // distinct head is almost always at l + 1 — check before paying a binary
-  // search over the index tail.
-  uint64_t nh;
-  if (l + 1 < num_leaves_ && head_index_[l + 1] != head_index_[l]) {
-    nh = l + 1;
-  } else {
-    auto it = std::upper_bound(head_index_.begin() + l, head_index_.end(),
-                               head_index_[l]);
-    if (it == head_index_.end()) return {n, num_leaves_};
-    nh = static_cast<uint64_t>(it - head_index_.begin());
-  }
+  const uint64_t nh = next_head(l);
+  if (nh >= num_leaves_) return {n, num_leaves_};
   // Runs are typically a handful of keys: gallop from i, then binary-search
   // the last gap (batch[i] < h because batch[i] routes to leaf l).
   const key_type h = head_index_[nh];
@@ -627,29 +623,106 @@ void PackedMemoryArray<Leaf>::route_chunk(const key_type* batch, uint64_t n,
 }
 
 template <typename Leaf>
+template <bool kProbe, typename Emit>
+void PackedMemoryArray<Leaf>::route_sparse(const key_type* batch, uint64_t n,
+                                           uint64_t lo, uint64_t hi,
+                                           Emit&& emit) const {
+  if (lo >= hi) return;
+  constexpr uint64_t kG = EytzingerHeadIndex::kGroup;
+  constexpr uint64_t kNone = UINT64_MAX;
+  // The run holding batch[lo - 1] belongs to the previous chunk, which
+  // extends it past its own end; this chunk skips its keys.
+  const uint64_t skip = lo > 0 ? find_leaf(batch[lo - 1]) : kNone;
+  LeafRun cur{kNone, lo, lo};
+  // Software pipeline, one group deep: group k + 1 descends (and its leaves
+  // are prefetched) before group k's runs are emitted, so a group's leaf
+  // fetches overlap the next group's descent instead of stalling the probe.
+  uint64_t leaves[2][kG];
+  auto descend = [&](uint64_t i, uint64_t* out) {
+    const uint64_t g = std::min(kG, hi - i);
+    const key_type* q = batch + i;
+    key_type padded[kG];
+    if (g < kG) {  // the chunk's last group: pad with its last key
+      std::copy(q, q + g, padded);
+      std::fill(padded + g, padded + kG, q[g - 1]);
+      q = padded;
+    }
+    eytz_.find_leaves<kG>(q, out);
+    if constexpr (kProbe) {
+      for (uint64_t j = 0; j < g; ++j) {
+        if (j == 0 || out[j] != out[j - 1]) prefetch_leaf(out[j]);
+      }
+    }
+  };
+  descend(lo, leaves[0]);
+  for (uint64_t i = lo, b = 0; i < hi; i += kG, b ^= 1) {
+    if (i + kG < hi) descend(i + kG, leaves[b ^ 1]);
+    const uint64_t g = std::min(kG, hi - i);
+    for (uint64_t j = 0; j < g; ++j) {
+      const uint64_t l = leaves[b][j];
+      if (l == cur.leaf) {
+        cur.end = i + j + 1;
+        continue;
+      }
+      if (cur.leaf != kNone) emit(cur);
+      cur.leaf = kNone;
+      if (l != skip) cur = LeafRun{l, i + j, i + j + 1};
+    }
+  }
+  if (cur.leaf == kNone) return;
+  if (cur.end == hi && hi < n) {
+    cur.end = run_end(cur.leaf, batch, n, hi - 1).first;
+  }
+  emit(cur);
+}
+
+template <typename Leaf>
 void PackedMemoryArray<Leaf>::route_runs(
     const key_type* batch, uint64_t n, std::vector<LeafRun>& runs,
     std::vector<std::vector<LeafRun>>& parts) const {
   runs.clear();
-  const uint64_t chunks = std::min<uint64_t>(
-      util::div_round_up(n, kRouteChunkKeys),
-      uint64_t{8} * par::Scheduler::instance().num_workers());
+  const bool sparse = sparse_batch(n);
+  const uint64_t chunks =
+      sparse ? sparse_chunks(n)
+             : std::min<uint64_t>(
+                   util::div_round_up(n, kRouteChunkKeys),
+                   uint64_t{8} * par::Scheduler::instance().num_workers());
+  auto route = [&](uint64_t lo, uint64_t hi, std::vector<LeafRun>& out) {
+    if (sparse) {
+      route_sparse<false>(batch, n, lo, hi,
+                          [&](const LeafRun& r) { out.push_back(r); });
+    } else {
+      route_chunk(batch, n, lo, hi, out);
+    }
+  };
   if (chunks <= 1) {
-    route_chunk(batch, n, 0, n, runs);
+    route(0, n, runs);
     return;
   }
   parts.resize(chunks);
   par::parallel_for(0, chunks, [&](uint64_t c) {
     parts[c].clear();
-    route_chunk(batch, n, c * n / chunks, (c + 1) * n / chunks, parts[c]);
+    route(c * n / chunks, (c + 1) * n / chunks, parts[c]);
   }, 1);
   par::flatten_parts(parts, runs);
 }
 
 template <typename Leaf>
-void PackedMemoryArray<Leaf>::route_batch(const key_type* batch, uint64_t n,
-                                          BatchContext& ctx) const {
-  route_runs(batch, n, ctx.runs, ctx.route_parts);
+template <typename F>
+void PackedMemoryArray<Leaf>::for_each_run(const key_type* batch, uint64_t n,
+                                           F&& f) const {
+  if (sparse_batch(n)) {
+    const uint64_t chunks = sparse_chunks(n);
+    par::parallel_for(0, chunks, [&](uint64_t c) {
+      route_sparse<true>(batch, n, c * n / chunks, (c + 1) * n / chunks, f);
+    }, 1);
+    return;
+  }
+  std::vector<LeafRun> runs;
+  std::vector<std::vector<LeafRun>> parts;
+  route_runs(batch, n, runs, parts);
+  par::parallel_for(0, runs.size(), [&](uint64_t r) { f(runs[r]); },
+                    kQueryRunGrain);
 }
 
 // ---------------------------------------------------------------------------
@@ -1164,8 +1237,8 @@ uint64_t PackedMemoryArray<Leaf>::insert_batch_merge(const key_type* batch,
   BatchContext ctx;
   detail::PhaseTimer pt;
 
-  // Phase 1a: one flat partition of the batch against the head index.
-  route_batch(batch, n, ctx);
+  // Phase 1a: route the batch into per-leaf runs.
+  route_runs(batch, n, ctx.runs, ctx.route_parts);
   const uint64_t num_runs = ctx.runs.size();
   ctx.touched_dense.resize(num_runs);
   ctx.delta_dense.resize(num_runs);
@@ -1280,7 +1353,7 @@ uint64_t PackedMemoryArray<Leaf>::remove_batch_merge(const key_type* batch,
   BatchContext ctx;
   detail::PhaseTimer pt;
 
-  route_batch(batch, n, ctx);
+  route_runs(batch, n, ctx.runs, ctx.route_parts);
   const uint64_t num_runs = ctx.runs.size();
   ctx.touched_dense.resize(num_runs);
   ctx.delta_dense.resize(num_runs);
@@ -1357,11 +1430,11 @@ uint64_t PackedMemoryArray<Leaf>::insert_batch_serial_baseline(
     const uint64_t l = find_leaf(batch[i]);
     // Extent of the batch destined for this leaf under the live index.
     uint64_t j = batch.size();
-    auto next_head = std::upper_bound(head_index_.begin() + l,
-                                      head_index_.end(), head_index_[l]);
-    if (next_head != head_index_.end()) {
+    const uint64_t nh = next_head(l);
+    if (nh < num_leaves_) {
       j = static_cast<uint64_t>(std::lower_bound(batch.begin() + i,
-                                                 batch.end(), *next_head) -
+                                                 batch.end(),
+                                                 head_index_[nh]) -
                                 batch.begin());
     }
     std::vector<key_type> existing;
@@ -1390,11 +1463,11 @@ uint64_t PackedMemoryArray<Leaf>::insert_batch_serial_baseline(
 }
 
 // ---------------------------------------------------------------------------
-// Batch queries: the read-side twin of the batch pipeline. One route_runs
-// partition (the insert router's gallop) turns the sorted query array into
-// per-leaf runs; each run decodes its leaf AT MOST ONCE with a single
-// streaming Leaf::map pass shared by every query in the run, and runs are
-// dispatched as parallel tasks at the merge phase's grain. Hit bits go
+// Batch queries: the read-side twin of the batch pipeline. The batch
+// router (for_each_run) turns the sorted query array into per-leaf runs —
+// lockstep descent with leaf prefetch for sparse batches, the gallop for
+// dense ones — and each run decodes its leaf AT MOST ONCE with a single
+// streaming Leaf::map pass shared by every query in the run. Hit bits go
 // through relaxed atomic ORs so runs (and sibling shards writing disjoint
 // slices of one bitmap) can share output words.
 // ---------------------------------------------------------------------------
@@ -1405,9 +1478,6 @@ inline void set_query_bit(uint64_t* bits, uint64_t i) {
       .fetch_or(uint64_t{1} << (i & 63), std::memory_order_relaxed);
 }
 }  // namespace detail
-
-// Run-task grain: same as the merge phase's parallel_for over leaf runs.
-constexpr uint64_t kQueryRunGrain = 4;
 
 template <typename Leaf>
 void PackedMemoryArray<Leaf>::has_batch(const key_type* keys, uint64_t n,
@@ -1423,11 +1493,7 @@ void PackedMemoryArray<Leaf>::has_batch(const key_type* keys, uint64_t n,
   if (start == n) return;
   const key_type* qk = keys + start;
   const uint64_t qn = n - start;
-  std::vector<LeafRun> runs;
-  std::vector<std::vector<LeafRun>> parts;
-  route_runs(qk, qn, runs, parts);
-  par::parallel_for(0, runs.size(), [&](uint64_t r) {
-    const LeafRun& run = runs[r];
+  for_each_run(qk, qn, [&](const LeafRun& run) {
     const uint8_t* lp = leaf_ptr(run.leaf);
     const key_type h = Leaf::head(lp);
     auto hit = [&](uint64_t q) {
@@ -1460,7 +1526,7 @@ void PackedMemoryArray<Leaf>::has_batch(const key_type* keys, uint64_t n,
       }
       return q < run.end;
     });
-  }, kQueryRunGrain);
+  });
 }
 
 template <typename Leaf>
@@ -1476,9 +1542,8 @@ void PackedMemoryArray<Leaf>::successor_batch(const key_type* keys, uint64_t n,
     if (has_zero_) {
       zero_succ = key_type{0};
     } else {
-      auto it = std::upper_bound(head_index_.begin(), head_index_.end(),
-                                 key_type{0});
-      if (it != head_index_.end()) zero_succ = *it;
+      const uint64_t first = first_head_above(0, key_type{0});
+      if (first < num_leaves_) zero_succ = head_index_[first];
     }
     while (start < n && keys[start] == 0) {
       if (zero_succ) {
@@ -1491,11 +1556,7 @@ void PackedMemoryArray<Leaf>::successor_batch(const key_type* keys, uint64_t n,
   }
   const key_type* qk = keys + start;
   const uint64_t qn = n - start;
-  std::vector<LeafRun> runs;
-  std::vector<std::vector<LeafRun>> parts;
-  route_runs(qk, qn, runs, parts);
-  par::parallel_for(0, runs.size(), [&](uint64_t r) {
-    const LeafRun& run = runs[r];
+  for_each_run(qk, qn, [&](const LeafRun& run) {
     const uint8_t* lp = leaf_ptr(run.leaf);
     const key_type h = Leaf::head(lp);
     auto answer = [&](uint64_t q, key_type v) {
@@ -1503,20 +1564,11 @@ void PackedMemoryArray<Leaf>::successor_batch(const key_type* keys, uint64_t n,
       detail::set_query_bit(found, bit_base + start + q);
     };
     // Queries past the leaf's last key all share one answer: the next
-    // nonempty leaf's head (the next stored key). run_end-style fast path
-    // on the index before a binary search over its tail.
+    // nonempty leaf's head (the next stored key).
     auto spill = [&](uint64_t q) {
       if (q >= run.end) return;
-      const key_type hi = head_index_[run.leaf];
-      uint64_t nh;
-      if (run.leaf + 1 < num_leaves_ && head_index_[run.leaf + 1] != hi) {
-        nh = run.leaf + 1;
-      } else {
-        auto it = std::upper_bound(head_index_.begin() + run.leaf,
-                                   head_index_.end(), hi);
-        if (it == head_index_.end()) return;  // no successor exists
-        nh = static_cast<uint64_t>(it - head_index_.begin());
-      }
+      const uint64_t nh = next_head(run.leaf);
+      if (nh >= num_leaves_) return;  // no successor exists
       for (; q < run.end; ++q) answer(q, head_index_[nh]);
     };
     // Single-query run: identical work to successor().
@@ -1544,7 +1596,7 @@ void PackedMemoryArray<Leaf>::successor_batch(const key_type* keys, uint64_t n,
       return q < run.end;
     });
     spill(q);  // queries above the leaf's last key
-  }, kQueryRunGrain);
+  });
 }
 
 template <typename Leaf>

@@ -8,8 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "util/env.hpp"
-
 namespace cpma::pma {
 
 // Free bytes every leaf must retain after any rebalance so that a single
@@ -17,22 +15,6 @@ namespace cpma::pma {
 // case is a compressed-leaf insert that replaces one delta with two
 // (<= 2*10-1 extra bytes) or displaces the head (8 + 10 bytes).
 constexpr size_t kLeafSlack = 24;
-
-// Runtime knobs, read from the environment once per process. The knob
-// values live in namespace-scope inline variables, not function-local
-// statics, so a getter on a hot path compiles to a plain load instead of
-// re-checking a local static's guard on every call.
-
-// CPMA_EYTZINGER=0 disables the branchless Eytzinger mirror of the head
-// index (head_eytzinger.hpp) and falls back to the flat two-binary-search
-// find_leaf. The mirror is maintained either way (its cost is a few writes
-// on paths that already rewrite the flat index); the knob only selects the
-// descent, so flipping it mid-process is safe for experiments.
-namespace detail {
-inline const bool kEytzingerEnabled = util::env_u64("CPMA_EYTZINGER", 1) != 0;
-}  // namespace detail
-
-inline bool eytzinger_enabled() { return detail::kEytzingerEnabled; }
 
 struct PmaSettings {
   // Array growth multiplier when the root's upper density bound is violated

@@ -12,7 +12,7 @@
 //  * Routing: shard i+1 owns keys >= splitters_[i] (splitters are ascending;
 //    shard 0 owns everything below splitters_[0], including the key-0
 //    sentinel). A sorted batch is partitioned against the splitters with the
-//    same exponential-gallop idiom as the engine's route_batch, then each
+//    same exponential-gallop idiom as the engine's dense route_runs, then each
 //    shard's slice is applied by a sibling top-level task — one parallel_for
 //    at grain 1 — with every shard free to use its full inner parallelism
 //    (nested fork-join; the work-stealing scheduler interleaves the shards'

@@ -143,7 +143,8 @@ std::string invariant_err(const std::string& msg) { return msg; }
 // ---------------------------------------------------------------------------
 
 // Flat reference: first leaf of the run of equal entries ending at the last
-// entry <= key (pma.hpp's find_leaf_flat).
+// entry <= key, by two binary searches over the flat head array — the
+// contract the mirror's descent must reproduce.
 uint64_t flat_find_leaf(const std::vector<uint64_t>& head, uint64_t key) {
   auto it = std::upper_bound(head.begin(), head.end(), key);
   if (it == head.begin()) return 0;
@@ -342,6 +343,146 @@ TYPED_TEST(QueryBatch, PointUpdateMaintenance) {
     std::vector<uint64_t> q = make_queries(rng, ref, 1500);
     check_queries(pma, ref, q, "point round " + std::to_string(round));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sparse regime: batches far smaller than the leaf count. The batch router
+// switches from its gallop to a lockstep descent when a batch holds at most
+// one key per 16 leaves, so every batch size here except the dense side of
+// the switch point (num_leaves / 16 + 1) takes the sparse path, for reads
+// and for the 256-key write batches alike.
+// ---------------------------------------------------------------------------
+
+template <typename E>
+class QueryBatchSparse : public ::testing::Test {};
+TYPED_TEST_SUITE(QueryBatchSparse, Engines);
+
+// Stored keys are at least kSparseBase, so [1, kSparseBase) lies below the
+// first head.
+constexpr uint64_t kSparseBase = uint64_t{1} << 20;
+
+// A leaf with no keys between two nonempty leaves: its head-index entry
+// repeats its predecessor's, forming an equal-head run.
+template <typename E>
+bool has_interior_empty_leaf(const E& e) {
+  uint64_t first = e.num_leaves(), last = 0;
+  for (uint64_t l = 0; l < e.num_leaves(); ++l) {
+    if (e.leaf_element_count(l) == 0) continue;
+    first = std::min(first, l);
+    last = l;
+  }
+  for (uint64_t l = first; l < last; ++l) {
+    if (e.leaf_element_count(l) == 0) return true;
+  }
+  return false;
+}
+
+// Exactly n sorted queries. Each is one of: a stored key, a random key in
+// the stored span, a key below the first head, key 0, a key above the
+// maximum (successor spill past the last leaf), a key in the removed band
+// [band_lo, band_hi), or a duplicate of the previous query. n == 1 batches
+// take kind `rep` so each kind is routed alone.
+std::vector<uint64_t> sparse_queries(Rng& rng,
+                                     const std::vector<uint64_t>& stored,
+                                     uint64_t n, uint64_t band_lo,
+                                     uint64_t band_hi, uint64_t rep) {
+  std::vector<uint64_t> q;
+  q.reserve(n);
+  const uint64_t lo = stored.front(), hi = stored.back();
+  for (uint64_t i = 0; i < n; ++i) {
+    switch (n == 1 ? rep % 7 : rng.next_below(7)) {
+      case 0:
+        q.push_back(stored[rng.next_below(stored.size())]);
+        break;
+      case 1:
+        q.push_back(lo + rng.next_below(hi - lo));
+        break;
+      case 2:
+        q.push_back(1 + rng.next_below(kSparseBase - 1));
+        break;
+      case 3:
+        q.push_back(0);
+        break;
+      case 4:
+        q.push_back(rng.next_below(2) ? kMax : hi + 1 + rng.next_below(1000));
+        break;
+      case 5:
+        q.push_back(band_lo + rng.next_below(band_hi - band_lo));
+        break;
+      default:
+        q.push_back(q.empty() ? stored[0] : q.back());
+    }
+  }
+  std::sort(q.begin(), q.end());
+  return q;
+}
+
+TYPED_TEST(QueryBatchSparse, SmallBatchesOverManyLeaves) {
+  Rng rng(0x5BA75E);
+  TypeParam pma;
+  std::set<uint64_t> ref;
+  std::string err;
+  // At least 4096 leaves, so a 256-key batch is sparse.
+  while (pma.num_leaves() < 4096) {
+    std::vector<uint64_t> batch(50000);
+    for (uint64_t& k : batch) k = kSparseBase + (rng.next() >> 24);
+    ref.insert(batch.begin(), batch.end());
+    pma.insert_batch(batch.data(), batch.size());
+    ASSERT_TRUE(pma.check_invariants(&err)) << invariant_err(err);
+  }
+  // One merge-path remove batch (under a tenth of the keys) of a contiguous
+  // band empties interior leaves.
+  std::vector<uint64_t> stored(ref.begin(), ref.end());
+  const uint64_t a = stored.size() / 3, b = a + stored.size() / 20;
+  const uint64_t band_lo = stored[a], band_hi = stored[b];
+  std::vector<uint64_t> dead(stored.begin() + a, stored.begin() + b);
+  ASSERT_EQ(pma.remove_batch(dead.data(), dead.size(), /*sorted=*/true),
+            dead.size());
+  for (uint64_t k : dead) ref.erase(k);
+  ASSERT_TRUE(pma.check_invariants(&err)) << invariant_err(err);
+  ASSERT_GE(pma.num_leaves(), 4096u);
+  ASSERT_TRUE(has_interior_empty_leaf(pma));
+
+  auto check_sizes = [&](const std::string& what) {
+    stored.assign(ref.begin(), ref.end());
+    const uint64_t switch_n = pma.num_leaves() / 16;
+    for (uint64_t n : {uint64_t{1}, uint64_t{17}, uint64_t{256}, switch_n,
+                       switch_n + 1}) {
+      const uint64_t reps = n == 1 ? 14 : 3;
+      for (uint64_t rep = 0; rep < reps; ++rep) {
+        std::vector<uint64_t> q =
+            sparse_queries(rng, stored, n, band_lo, band_hi, rep);
+        check_queries(pma, ref, q, what + " n=" + std::to_string(n));
+      }
+    }
+  };
+  check_sizes("after band removal");
+
+  // Sparse write batches: 256 keys each, fresh inserts mixed with present
+  // keys, removals mixed with absent keys.
+  for (int round = 0; round < 4; ++round) {
+    std::vector<uint64_t> ins;
+    for (int i = 0; i < 256; ++i) {
+      ins.push_back(rng.next_below(4) == 0
+                        ? stored[rng.next_below(stored.size())]
+                        : kSparseBase + (rng.next() >> 24));
+    }
+    ref.insert(ins.begin(), ins.end());
+    pma.insert_batch(ins.data(), ins.size());
+    ASSERT_TRUE(pma.check_invariants(&err)) << invariant_err(err);
+    ASSERT_EQ(pma.size(), ref.size());
+    std::vector<uint64_t> rem;
+    for (int i = 0; i < 256; ++i) {
+      rem.push_back(rng.next_below(4) == 0
+                        ? kSparseBase + (rng.next() >> 24)
+                        : stored[rng.next_below(stored.size())]);
+    }
+    for (uint64_t k : rem) ref.erase(k);
+    pma.remove_batch(rem.data(), rem.size());
+    ASSERT_TRUE(pma.check_invariants(&err)) << invariant_err(err);
+    ASSERT_EQ(pma.size(), ref.size());
+  }
+  check_sizes("after sparse writes");
 }
 
 // ---------------------------------------------------------------------------
