@@ -73,24 +73,6 @@ inline std::vector<uint64_t> shard_counts() {
   return counts;
 }
 
-// Client-thread counts for the serving-layer rows: CPMA_BENCH_CLIENTS is a
-// comma-separated list of concurrent reader/ingest client counts (default
-// "1,4"). clients=0 rows (pure-ingest baseline) are always emitted.
-inline std::vector<uint64_t> client_counts() {
-  const char* v = std::getenv("CPMA_BENCH_CLIENTS");
-  std::string s = (v == nullptr) ? "1,4" : v;
-  std::vector<uint64_t> counts;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t c = s.find(',', pos);
-    if (c == std::string::npos) c = s.size();
-    uint64_t n = std::strtoull(s.substr(pos, c - pos).c_str(), nullptr, 10);
-    if (n > 0) counts.push_back(n);
-    pos = c + 1;
-  }
-  return counts;
-}
-
 // Per-shard content-byte spread, reported on sharded RESULT lines so a
 // regression caused by routing imbalance (splitter drift the rebalancer
 // missed) is attributable from the snapshot alone.

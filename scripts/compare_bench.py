@@ -2,12 +2,12 @@
 """Compare a fresh BENCH_*.json against a committed snapshot.
 
 Records are matched on their identifying fields (every string-valued field
-plus integer dimensions like batch= / shards= / clients=). Every *_per_s
-throughput field is compared as new/old and every *_p50_ns / *_p99_ns
-latency field as old/new, so a ratio >= 1.0 always means "no worse than the
-snapshot". Exits 1 when any matched value falls below --tolerance — CI runs this with continue-on-error so the
-comparison is informative, not blocking (snapshots come from different
-hardware than the runners).
+plus integer dimensions like batch= / shards= / len=). Every *_per_s
+throughput field is compared as new/old and, on space-only rows,
+bytes_per_key as old/new, so a ratio >= 1.0 always means "no worse than the
+snapshot". Exits 1 when any matched value falls below --tolerance — CI runs
+this with continue-on-error so the comparison is informative, not blocking
+(snapshots come from different hardware than the runners).
 
 With --github-summary, a markdown table of the comparison is appended to the
 file named by $GITHUB_STEP_SUMMARY (or printed, when the variable is unset),
@@ -28,7 +28,7 @@ import sys
 # string-valued fields. "len" separates the range-query rows, which differ
 # only in their expected range length; "batch" likewise separates the batched
 # point-query rows from each other.
-ID_INT_KEYS = {"batch", "shards", "cores", "clients", "len"}
+ID_INT_KEYS = {"batch", "shards", "cores", "len"}
 
 
 def record_id(record):
@@ -48,24 +48,13 @@ def throughput_fields(record):
     }
 
 
-def latency_fields(record):
-    """Percentile-latency fields (serving p50/p99 rows): lower is better."""
-    return {
-        k: v
-        for k, v in record.items()
-        if (k.endswith("_p50_ns") or k.endswith("_p99_ns"))
-        and isinstance(v, (int, float))
-        and v > 0
-    }
-
-
 def space_fields(record):
     """Space rows (bench_table6_space): bytes_per_key, lower is better.
 
-    Only consulted when a record carries no throughput or latency field, so
+    Only consulted when a record carries no throughput field, so
     decode-bench rows (which report bytes_per_key as a descriptive field
     next to keys_per_s) keep comparing on throughput alone."""
-    if throughput_fields(record) or latency_fields(record):
+    if throughput_fields(record):
         return {}
     return {
         k: v
@@ -78,7 +67,7 @@ def compare(old, new, tolerance):
     """Yields (tag, record_id, field, new_value, old_value, ratio) rows;
     ratio/old_value are None for records absent from the snapshot. Ratios
     are oriented so >= 1.0 always means "no worse than the snapshot":
-    new/old for throughput, old/new for latency."""
+    new/old for throughput, old/new for space."""
     old_by_id = {record_id(r): r for r in old.get("results", [])}
     for record in new.get("results", []):
         rid = record_id(record)
@@ -91,13 +80,6 @@ def compare(old, new, tolerance):
             if not isinstance(base_value, (int, float)) or base_value <= 0:
                 continue
             ratio = value / base_value
-            tag = "OK" if ratio >= tolerance else "REGR"
-            yield (tag, rid, field, value, base_value, ratio)
-        for field, value in latency_fields(record).items():
-            base_value = base.get(field)
-            if not isinstance(base_value, (int, float)) or base_value <= 0:
-                continue
-            ratio = base_value / value
             tag = "OK" if ratio >= tolerance else "REGR"
             yield (tag, rid, field, value, base_value, ratio)
         for field, value in space_fields(record).items():

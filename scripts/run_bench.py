@@ -60,11 +60,8 @@ from compare_bench import record_id  # noqa: E402
 def primary_throughput(record):
     """Best-of-N selection metric: higher is better.
 
-    Throughput records use their largest *_per_s field. Latency-only
-    records (e.g. serving read-latency rows) used to all tie at the 0.0
-    default, making best-of-N selection arbitrary; they now rank by
-    negated smallest percentile-latency field, so the lowest-latency run
-    wins.
+    Throughput records use their largest *_per_s field; space-only records
+    rank by negated bytes_per_key.
     """
     tp = max(
         (
@@ -76,15 +73,6 @@ def primary_throughput(record):
     )
     if tp > 0.0:
         return tp
-    latencies = [
-        v
-        for k, v in record.items()
-        if (k.endswith("_p50_ns") or k.endswith("_p99_ns"))
-        and isinstance(v, (int, float))
-        and v > 0
-    ]
-    if latencies:
-        return -min(latencies)
     # Space-only rows (bench_table6_space): smaller footprint wins.
     bpk = record.get("bytes_per_key")
     if isinstance(bpk, (int, float)) and bpk > 0:

@@ -45,7 +45,9 @@
 // beyond the first gap are from a future the store never acknowledged;
 // they are counted, not applied. Then write a FRESH checkpoint at the
 // recovered state and prune, so stale segments cannot leak reused lsns
-// into a later recovery. The full accounting lands in RecoveryReport.
+// into a later recovery. The full accounting lands in RecoveryReport. A
+// directory that cannot be created or listed is not treated as empty: the
+// error lands in RecoveryReport::dir_error and the store opens read-only.
 //
 // ACK SEMANTICS: insert()/remove() returning true means ADMITTED, not
 // durable. Durability is a watermark: durable_lsn() advances when the
@@ -105,6 +107,11 @@ struct RecoveryReport {
   uint64_t torn_tails = 0;       // segments ending in an incomplete record
   uint64_t bytes_scanned = 0;
   uint64_t segments_scanned = 0;
+  // Set when the directory could not be created or listed. An unlistable
+  // directory may hold a populated store, so the store opens empty and
+  // read-only: no fresh checkpoint, no prune, every write and checkpoint
+  // refused until a reopen lists the directory.
+  io::Status dir_error;
 };
 
 struct DurableStats {
@@ -229,6 +236,7 @@ class DurablePMA : private serve::WriteObserver {
 
   bool before_apply(const uint64_t* keys, uint64_t n,
                     bool is_insert) override {
+    if (!report_.dir_error.ok()) return veto(n);
     const uint64_t lsn = next_lsn_;
     const uint64_t shard = serving_->store().shard_for(keys[0]);
     WalWriter& w = wals_[shard];
@@ -250,9 +258,7 @@ class DurablePMA : private serve::WriteObserver {
       // Could not get the record onto disk: refuse the apply. The lsn was
       // never consumed by a durable record, so the on-disk sequence stays
       // gap-free and the next run reuses it.
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      stats_.wal_vetoes += n;
-      return false;
+      return veto(n);
     }
     next_lsn_ = lsn + 1;
     last_lsn_pub_.store(lsn, std::memory_order_release);
@@ -278,6 +284,12 @@ class DurablePMA : private serve::WriteObserver {
       ++stats_.wal_syncs;
     }
     return true;
+  }
+
+  bool veto(uint64_t n) {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.wal_vetoes += n;
+    return false;
   }
 
   void note_append_error() {
@@ -317,6 +329,7 @@ class DurablePMA : private serve::WriteObserver {
   };
 
   io::Status begin_checkpoint(Cut* cut) {
+    if (!report_.dir_error.ok()) return report_.dir_error;
     bool expected = false;
     if (!ckpt_inflight_.compare_exchange_strong(expected, true)) {
       return io::Status::error("checkpoint already in flight");
@@ -352,11 +365,23 @@ class DurablePMA : private serve::WriteObserver {
   }
 
   io::Status finish_checkpoint(Cut cut) {
-    uint64_t bytes = 0;
-    io::Status st = write_checkpoint(vfs_, dir_, cut.seq, cut.cut_lsn,
-                                     kCodecTagPortable, *cut.view,
-                                     cut.versions, &bytes);
+    io::Status st =
+        commit_checkpoint(cut.seq, cut.cut_lsn, *cut.view, cut.versions);
     cut.view.reset();  // release the shared engine refs promptly
+    ckpt_inflight_.store(false, std::memory_order_release);
+    return st;
+  }
+
+  // Writes checkpoint `seq` of `view`, records the outcome in the stats,
+  // and on success prunes the generations it subsumes. The one path every
+  // checkpoint body (cut or post-recovery) goes through.
+  io::Status commit_checkpoint(uint64_t seq, uint64_t cut_lsn,
+                               const serve::SnapshotView<Engine>& view,
+                               const std::vector<uint64_t>& versions) {
+    uint64_t bytes = 0;
+    io::Status st = write_checkpoint(vfs_, dir_, seq, cut_lsn,
+                                     kCodecTagPortable, view, versions,
+                                     &bytes);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       last_ckpt_status_ = st;
@@ -367,8 +392,7 @@ class DurablePMA : private serve::WriteObserver {
         ++stats_.checkpoint_failures;
       }
     }
-    if (st.ok()) prune_below(cut.seq);
-    ckpt_inflight_.store(false, std::memory_order_release);
+    if (st.ok()) prune_below(seq);
     return st;
   }
 
@@ -398,9 +422,10 @@ class DurablePMA : private serve::WriteObserver {
   // ---- recovery -----------------------------------------------------------
 
   void recover() {
-    vfs_.mkdir(dir_);
     std::vector<std::string> names;
-    vfs_.list(dir_, names);
+    report_.dir_error = vfs_.mkdir(dir_);
+    if (report_.dir_error.ok()) report_.dir_error = vfs_.list(dir_, names);
+    if (!report_.dir_error.ok()) names.clear();
 
     // Orphaned tmp files are uncommitted checkpoints: delete.
     for (const std::string& name : names) {
@@ -525,37 +550,27 @@ class DurablePMA : private serve::WriteObserver {
     // first byte.) Failure is tolerated: the store still serves; the next
     // successful checkpoint cleans up. The fresh seq clears BOTH the
     // newest checkpoint and the newest WAL generation (a cut whose body
-    // never committed leaves cseq > every checkpoint seq).
-    const uint64_t fresh_seq =
-        std::max(ckpt_seqs.empty() ? 0 : ckpt_seqs.front(), max_cseq) + 1;
-    {
+    // never committed leaves cseq > every checkpoint seq). Then open the
+    // live segments. A directory that could not be listed gets neither: a
+    // checkpoint or segment written from its unknown state would shadow
+    // or prune the real one.
+    if (report_.dir_error.ok()) {
+      const uint64_t fresh_seq =
+          std::max(ckpt_seqs.empty() ? 0 : ckpt_seqs.front(), max_cseq) + 1;
       std::vector<uint64_t> versions(shards);
       for (uint64_t s = 0; s < shards; ++s) {
         versions[s] = serving_->store().shard_version(s);
       }
       typename Serving::Snapshot snap = serving_->snapshot();
-      uint64_t bytes = 0;
-      io::Status st =
-          write_checkpoint(vfs_, dir_, fresh_seq, report_.last_lsn,
-                           kCodecTagPortable, snap.view(), versions, &bytes);
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        last_ckpt_status_ = st;
-        if (st.ok()) {
-          ++stats_.checkpoints_written;
-          stats_.checkpoint_bytes = bytes;
-        } else {
-          ++stats_.checkpoint_failures;
-        }
-      }
-      if (st.ok()) {
+      if (commit_checkpoint(fresh_seq, report_.last_lsn, snap.view(),
+                            versions)
+              .ok()) {
         ckpt_seq_ = fresh_seq;
-        prune_below(fresh_seq);
       }
+      for (WalWriter& w : wals_) w.rotate(ckpt_seq_);
     }
 
-    // Open the live segments and arm the WAL-before-apply hook.
-    for (WalWriter& w : wals_) w.rotate(ckpt_seq_);
+    // Arm the WAL-before-apply hook (it vetoes everything on dir_error).
     durable_lsn_.store(report_.last_lsn, std::memory_order_release);
     serving_->set_write_observer(this);
   }

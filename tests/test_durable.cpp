@@ -1,7 +1,8 @@
 // Durability unit suite: the pieces under src/durable/ individually —
 // CRC32C vectors, WAL framing + tolerant scanning, checkpoint round trips
 // (typed over all three leaf formats), the MemVfs crash model, FaultyVfs
-// injection accounting — plus the serving-layer seams this PR added:
+// injection accounting, recovery over an unreadable directory, DurablePMA
+// on the production PosixVfs — plus the serving-layer seams it relies on:
 // bounded backpressured ingest queues, the write-observer veto, epoch
 // participant overflow, and ShardedPMA::restore_from_checkpoint.
 //
@@ -12,7 +13,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -31,6 +35,7 @@ using cpma::durable::WalWriter;
 using cpma::durable::io::FaultPlan;
 using cpma::durable::io::FaultyVfs;
 using cpma::durable::io::MemVfs;
+using cpma::durable::io::PosixVfs;
 using cpma::durable::io::Status;
 using cpma::util::crc32c;
 using cpma::util::Rng;
@@ -449,6 +454,216 @@ TEST(DurableVeto, FailedWalBlocksApply) {
   EXPECT_FALSE(d2.has(42));  // vetoed, never applied
   EXPECT_GT(d2.stats().wal_vetoes, 0u);
   EXPECT_GT(d2.serving().stats().vetoed_ops, 0u);
+}
+
+// ---- recovery over a directory that cannot be read ------------------------
+
+// Forwards to a MemVfs, except that the next mkdir or list fails once armed,
+// the way mkdir fails on EACCES and opendir on EMFILE.
+class FlakyDirVfs final : public cpma::durable::io::Vfs {
+ public:
+  explicit FlakyDirVfs(MemVfs& base) : base_(base) {}
+  void fail_next_mkdir() { fail_mkdir_ = true; }
+  void fail_next_list() { fail_list_ = true; }
+
+  std::unique_ptr<cpma::durable::io::File> open_write(
+      const std::string& path, bool truncate, Status* st) override {
+    return base_.open_write(path, truncate, st);
+  }
+  std::unique_ptr<cpma::durable::io::File> open_read(const std::string& path,
+                                                     Status* st) override {
+    return base_.open_read(path, st);
+  }
+  Status mkdir(const std::string& path) override {
+    if (fail_mkdir_) {
+      fail_mkdir_ = false;
+      return Status::error("mkdir " + path + ": Permission denied");
+    }
+    return base_.mkdir(path);
+  }
+  Status rename(const std::string& from, const std::string& to) override {
+    return base_.rename(from, to);
+  }
+  Status remove(const std::string& path) override {
+    return base_.remove(path);
+  }
+  Status sync_dir(const std::string& path) override {
+    return base_.sync_dir(path);
+  }
+  Status list(const std::string& dir,
+              std::vector<std::string>& names) override {
+    if (fail_list_) {
+      fail_list_ = false;
+      return Status::error("opendir " + dir + ": Too many open files");
+    }
+    return base_.list(dir, names);
+  }
+  bool exists(const std::string& path) override { return base_.exists(path); }
+
+ private:
+  MemVfs& base_;
+  bool fail_mkdir_ = false;
+  bool fail_list_ = false;
+};
+
+std::vector<std::string> dir_files(MemVfs& vfs, const std::string& dir) {
+  std::vector<std::string> names;
+  EXPECT_TRUE(vfs.list(dir, names).ok());
+  return names;
+}
+
+// A reopen that cannot list the directory must not mistake it for an empty
+// store: it reports the error, writes nothing to the directory, applies no
+// write, and the next reopen recovers everything written before it.
+TYPED_TEST(Durable, UnlistableDirOpensReadOnly) {
+  MemVfs base;
+  FlakyDirVfs vfs(base);
+  std::set<uint64_t> oracle;
+  {
+    DurablePMA<TypeParam> d(vfs, "db",
+                            test_settings(2, FsyncPolicy::kAlways));
+    std::vector<uint64_t> batch;
+    for (uint64_t i = 0; i < 400; ++i) batch.push_back(key_at(i));
+    oracle.insert(batch.begin(), batch.end());
+    d.insert_batch(batch);
+    ASSERT_TRUE(d.checkpoint().ok());
+    for (uint64_t i = 400; i < 600; ++i) {
+      d.insert(key_at(i));
+      oracle.insert(key_at(i));
+    }
+    ASSERT_TRUE(d.sync_wal().ok());
+  }
+  const std::vector<std::string> files = dir_files(base, "db");
+  {
+    vfs.fail_next_list();
+    DurablePMA<TypeParam> d(vfs, "db",
+                            test_settings(2, FsyncPolicy::kAlways));
+    EXPECT_FALSE(d.recovery_report().dir_error.ok());
+    EXPECT_FALSE(d.recovery_report().recovered_checkpoint);
+    EXPECT_EQ(d.size(), 0u);
+    for (uint64_t i = 1000; i < 1100; ++i) d.insert(key_at(i));
+    std::vector<uint64_t> batch;
+    for (uint64_t i = 1100; i < 1300; ++i) batch.push_back(key_at(i));
+    EXPECT_EQ(d.insert_batch(batch), 0u);
+    d.remove(key_at(0));
+    d.serving().flush();
+    EXPECT_EQ(d.size(), 0u);
+    EXPECT_EQ(d.last_lsn(), 0u);
+    EXPECT_GE(d.stats().wal_vetoes, 301u);
+    EXPECT_FALSE(d.checkpoint().ok());
+    EXPECT_EQ(d.stats().checkpoints_written, 0u);
+    EXPECT_EQ(dir_files(base, "db"), files);
+  }
+  DurablePMA<TypeParam> d(vfs, "db", test_settings(2, FsyncPolicy::kAlways));
+  EXPECT_TRUE(d.recovery_report().dir_error.ok());
+  EXPECT_TRUE(d.recovery_report().recovered_checkpoint);
+  std::vector<uint64_t> got;
+  d.snapshot().map([&](uint64_t k) { got.push_back(k); });
+  EXPECT_EQ(got, collect(oracle));
+}
+
+TEST(DurableRecovery, FailedMkdirOpensReadOnly) {
+  MemVfs base;
+  FlakyDirVfs vfs(base);
+  vfs.fail_next_mkdir();
+  {
+    DurablePMA<cpma::CPMA> d(vfs, "db",
+                             test_settings(2, FsyncPolicy::kAlways));
+    EXPECT_FALSE(d.recovery_report().dir_error.ok());
+    d.insert(42);
+    d.serving().flush();
+    EXPECT_FALSE(d.has(42));
+    EXPECT_GT(d.stats().wal_vetoes, 0u);
+    EXPECT_FALSE(d.checkpoint().ok());
+    EXPECT_FALSE(base.exists("db/" + cpma::durable::ckpt_name(1)));
+  }
+  // The failure was transient: the next open creates the store as usual.
+  DurablePMA<cpma::CPMA> d(vfs, "db", test_settings(2, FsyncPolicy::kAlways));
+  EXPECT_TRUE(d.recovery_report().dir_error.ok());
+  d.insert(42);
+  ASSERT_TRUE(d.sync_wal().ok());
+  EXPECT_TRUE(d.has(42));
+}
+
+// ---- PosixVfs ----------------------------------------------------------------
+
+// A fresh directory under the system temp dir, removed with its contents
+// when the test ends (pass or fail).
+struct TempDir {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "cpma-durable-XXXXXX")
+          .string();
+  bool made = ::mkdtemp(path.data()) != nullptr;
+  ~TempDir() {
+    if (made) std::filesystem::remove_all(path);
+  }
+};
+
+// DurablePMA on real files: batches and single ops, a checkpoint, a synced
+// WAL tail after it, then a reopen from the directory alone.
+TEST(PosixDurable, CheckpointAndWalTailSurviveReopen) {
+  TempDir tmp;
+  ASSERT_TRUE(tmp.made);
+  const std::string dir = tmp.path + "/db";
+  PosixVfs vfs;
+  std::set<uint64_t> oracle;
+  uint64_t cut_lsn = 0;
+  uint64_t tail_records = 0;
+  {
+    cpma::DurableCPMA d(vfs, dir, test_settings(3, FsyncPolicy::kInterval));
+    ASSERT_TRUE(d.recovery_report().dir_error.ok());
+    std::vector<uint64_t> batch;
+    for (uint64_t i = 0; i < 3000; ++i) batch.push_back(key_at(i));
+    oracle.insert(batch.begin(), batch.end());
+    d.insert_batch(batch);
+    std::vector<uint64_t> gone;
+    for (uint64_t i = 0; i < 3000; i += 3) gone.push_back(key_at(i));
+    for (uint64_t k : gone) oracle.erase(k);
+    d.remove_batch(gone);
+    for (uint64_t i = 5000; i < 5100; ++i) {
+      d.insert(key_at(i));
+      oracle.insert(key_at(i));
+    }
+    ASSERT_TRUE(d.sync_wal().ok());
+    ASSERT_TRUE(d.checkpoint().ok());
+    cut_lsn = d.last_lsn();
+
+    // WAL tail beyond the checkpoint.
+    batch.clear();
+    for (uint64_t i = 3000; i < 4000; ++i) batch.push_back(key_at(i));
+    oracle.insert(batch.begin(), batch.end());
+    d.insert_batch(batch);
+    gone.clear();
+    for (uint64_t i = 1; i < 3000; i += 7) gone.push_back(key_at(i));
+    for (uint64_t k : gone) oracle.erase(k);
+    d.remove_batch(gone);
+    for (uint64_t i = 5000; i < 5050; ++i) {
+      d.remove(key_at(i));
+      oracle.erase(key_at(i));
+    }
+    for (uint64_t i = 6000; i < 6050; ++i) {
+      d.insert(key_at(i));
+      oracle.insert(key_at(i));
+    }
+    ASSERT_TRUE(d.sync_wal().ok());
+    tail_records = d.last_lsn() - cut_lsn;
+    ASSERT_GT(tail_records, 0u);
+  }  // destroyed without a clean shutdown
+  {
+    cpma::DurableCPMA d(vfs, dir, test_settings(3, FsyncPolicy::kInterval));
+    const auto& r = d.recovery_report();
+    EXPECT_TRUE(r.dir_error.ok());
+    EXPECT_TRUE(r.recovered_checkpoint);
+    EXPECT_EQ(r.cut_lsn, cut_lsn);
+    EXPECT_EQ(r.records_replayed, tail_records);
+    EXPECT_EQ(r.records_dropped, 0u);
+    EXPECT_EQ(d.size(), oracle.size());
+    std::vector<uint64_t> got;
+    d.snapshot().map([&](uint64_t k) { got.push_back(k); });
+    EXPECT_EQ(got, collect(oracle));
+    std::string err;
+    EXPECT_TRUE(d.serving().store().check_invariants(&err)) << err;
+  }
 }
 
 // ---- backpressure ----------------------------------------------------------
