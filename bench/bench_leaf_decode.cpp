@@ -1,26 +1,25 @@
 // Leaf decode-throughput microbench: measures the decode kernels that every
 // CPMA scan/merge routes through, at leaf granularity, for the byte-varint
-// leaf and the adaptive (byte-varint or bitmap) leaf.
+// leaf.
 //
 // Modes:
 //   scalar  one key per cursor_next call (the search loops)
 //   block   block_next into a stack buffer (scans and merges; takes the
-//           word-at-a-time / SIMD fast path on 1-byte deltas, word
-//           popcount scans on bitmap leaves)
+//           word-at-a-time / SIMD fast path on 1-byte deltas)
 //   map     Leaf::map summing (what engine scans execute)
 //   count   element_count (no value decode)
-//   legacy  byte-varint only: the seed implementation (memchr + scalar loop)
+//   legacy  the seed implementation (memchr + scalar loop)
 //
 // Distributions sweep the delta/density regime: dense (1-byte codes, the
 // byte-varint fast-path sweet spot), dense_runs (clustered consecutive runs
-// separated by large gaps — the regime bitmap selection must win), mixed
+// separated by large gaps: long 1-byte stretches between jumps), mixed
 // (half dense runs, half uniform 40-bit), uniform40 (~3-byte codes, where
 // the prefer_scalar probe takes the scalar loop) and sparse60 (~7-byte
 // codes).
 //
 // Output: one RESULT line per (codec, dist, mode) — machine-parsed by
-// scripts/run_bench.py into BENCH_leaf_decode.json; the codec= field keys
-// rows per codec in compare_bench.py.
+// scripts/run_bench.py into BENCH_leaf_decode.json; the codec= field (`bv`)
+// keys the rows in compare_bench.py.
 #include <algorithm>
 #include <cstring>
 #include <cstdint>
@@ -29,14 +28,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "pma/leaf_adaptive.hpp"
 #include "pma/leaf_compressed.hpp"
 #include "pma/settings.hpp"
 
 namespace {
 
-using BvLeaf = cpma::pma::CompressedLeaf<>;
-using ALeaf = cpma::pma::AdaptiveLeaf;
+using Leaf = cpma::pma::CompressedLeaf<>;
 
 constexpr size_t kLeafBytes = 1024;
 
@@ -50,33 +47,19 @@ struct LeafSet {
 };
 
 // Packs sorted unique keys into consecutive leaves at ~90% density, splitting
-// by each policy's own encoded cost (the adaptive policy packs by the size of
-// the format it will select — exactly what the engine's spread does).
-template <typename Leaf>
+// by encoded cost as the engine's spread does.
 LeafSet build_leaves(const std::vector<uint64_t>& keys) {
   LeafSet ls;
   const size_t budget = kLeafBytes - cpma::pma::kLeafSlack;
   size_t i = 0;
   while (i < keys.size()) {
-    size_t j = i;
-    if constexpr (requires { typename Leaf::StreamSizer; }) {
-      typename Leaf::StreamSizer s{};
-      while (j < keys.size()) {
-        typename Leaf::StreamSizer t = s;
-        t.add(keys[j]);
-        if (s.n > 0 && t.selected_bytes(kLeafBytes) > budget) break;
-        s = t;
-        ++j;
-      }
-    } else {
-      size_t cost = Leaf::kHeadBytes;
+    size_t j = i + 1;
+    size_t cost = Leaf::kHeadBytes;
+    while (j < keys.size()) {
+      size_t c = Leaf::delta_bytes(keys[j - 1], keys[j]);
+      if (cost + c > budget) break;
+      cost += c;
       ++j;
-      while (j < keys.size()) {
-        size_t c = Leaf::delta_bytes(keys[j - 1], keys[j]);
-        if (cost + c > budget) break;
-        cost += c;
-        ++j;
-      }
     }
     ls.data.resize(ls.data.size() + kLeafBytes);
     uint8_t* lp = ls.data.data() + ls.num_leaves * kLeafBytes;
@@ -159,38 +142,35 @@ void report(const LeafSet& ls, const std::string& codec,
       (unsigned long long)ls.num_keys, bytes_per_key, keys_per_s, mb_per_s);
 }
 
-template <typename Leaf>
 void run_codec(const std::string& codec, const std::string& dist,
                const std::vector<uint64_t>& keys) {
-  LeafSet ls = build_leaves<Leaf>(keys);
+  LeafSet ls = build_leaves(keys);
 
-  if constexpr (std::is_same_v<Leaf, BvLeaf>) {
-    // The seed implementation each op used to carry: memchr for the stream
-    // end, then a scalar varint loop bounded by it.
-    report(ls, codec, dist, "legacy",
-           throughput_keys_per_s(ls, [](const uint8_t* lp) {
-             uint64_t acc = Leaf::head(lp);
-             if (acc == 0) return acc;
-             const void* z = std::memchr(lp + Leaf::kHeadBytes, 0,
-                                         kLeafBytes - Leaf::kHeadBytes);
-             size_t end = z == nullptr
-                              ? kLeafBytes
-                              : static_cast<size_t>(
-                                    static_cast<const uint8_t*>(z) - lp);
-             uint64_t cur = acc;
-             size_t pos = Leaf::kHeadBytes;
-             while (pos < end) {
-               uint64_t delta;
-               pos += cpma::codec::varint_decode(lp + pos, &delta);
-               cur += delta;
-               acc += cur;
-             }
-             return acc;
-           }));
-  }
+  // The seed implementation each op used to carry: memchr for the stream
+  // end, then a scalar varint loop bounded by it.
+  report(ls, codec, dist, "legacy",
+         throughput_keys_per_s(ls, [](const uint8_t* lp) {
+           uint64_t acc = Leaf::head(lp);
+           if (acc == 0) return acc;
+           const void* z = std::memchr(lp + Leaf::kHeadBytes, 0,
+                                       kLeafBytes - Leaf::kHeadBytes);
+           size_t end = z == nullptr
+                            ? kLeafBytes
+                            : static_cast<size_t>(
+                                  static_cast<const uint8_t*>(z) - lp);
+           uint64_t cur = acc;
+           size_t pos = Leaf::kHeadBytes;
+           while (pos < end) {
+             uint64_t delta;
+             pos += cpma::codec::varint_decode(lp + pos, &delta);
+             cur += delta;
+             acc += cur;
+           }
+           return acc;
+         }));
   report(ls, codec, dist, "scalar",
          throughput_keys_per_s(ls, [](const uint8_t* lp) {
-           typename Leaf::Cursor c{};
+           Leaf::Cursor c{};
            if (!Leaf::cursor_begin(lp, kLeafBytes, c)) return uint64_t{0};
            uint64_t acc = c.value;
            while (Leaf::cursor_next(lp, kLeafBytes, c)) acc += c.value;
@@ -199,7 +179,7 @@ void run_codec(const std::string& codec, const std::string& dist,
   report(ls, codec, dist, "block",
          throughput_keys_per_s(ls, [](const uint8_t* lp) {
            uint64_t acc = 0;
-           typename Leaf::BlockCursor bc{};
+           Leaf::BlockCursor bc{};
            uint64_t buf[Leaf::kBlockKeys];
            while (size_t k =
                       Leaf::block_next(lp, kLeafBytes, bc, buf,
@@ -225,8 +205,7 @@ void run_codec(const std::string& codec, const std::string& dist,
 
 void run_dist(const std::string& dist) {
   auto keys = make_dist(dist, bench::base_n(), 42);
-  run_codec<BvLeaf>("bv", dist, keys);
-  run_codec<ALeaf>("adaptive", dist, keys);
+  run_codec("bv", dist, keys);
 }
 
 }  // namespace

@@ -211,10 +211,6 @@ int main() {
   if (bench::struct_enabled("cpma")) {
     run_struct<cpma::CPMA>("cpma", content, qs, [] { return cpma::CPMA{}; });
   }
-  if (bench::struct_enabled("acpma")) {
-    run_struct<cpma::ACPMA>("acpma", content, qs,
-                            [] { return cpma::ACPMA{}; });
-  }
   if (bench::struct_enabled("sharded_cpma")) {
     for (uint64_t sc : bench::shard_counts()) {
       cpma::pma::ShardedSettings st;

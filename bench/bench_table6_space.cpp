@@ -1,11 +1,11 @@
 // Table 6: bytes per element for U-PaC, PMA, C-PaC, CPMA (and P-trees' fixed
-// 32 B/element) as the number of elements grows, plus the adaptive-codec
-// ACPMA and a dense-run distribution where bitmap leaves must shine.
+// 32 B/element) as the number of elements grows, plus PMA and CPMA rows on a
+// dense-run distribution.
 //
 // Expected shape (paper): PMA ~10-12 B/elt; CPMA ~3-5 B/elt (>=2x smaller);
 // CPMA/C-PaC ~1 (similar sizes); compression improves with n because key
-// spacing shrinks. On dense_runs the ACPMA's bitmap leaves should cut
-// bytes/key to <=0.5x the byte-varint CPMA.
+// spacing shrinks. On dense_runs nearly every delta is a 1-byte code, so
+// CPMA sits near its floor of ~1 byte/key plus slack.
 //
 // Output: one RESULT line per (dist, struct, n) — machine-parsed by
 // scripts/run_bench.py into BENCH_space.json (bytes_per_key is compared
@@ -24,8 +24,7 @@
 namespace {
 
 std::vector<uint64_t> dense_run_keys(uint64_t n, uint64_t seed) {
-  // Clustered consecutive runs (256-1024 keys) at random 44-bit bases: the
-  // per-leaf density regime where bitmap selection wins.
+  // Clustered consecutive runs (256-1024 keys) at random 44-bit bases.
   std::vector<uint64_t> keys;
   keys.reserve(n);
   cpma::util::Rng r(seed);
@@ -62,8 +61,7 @@ int main() {
   if (cpma::util::bench_scale() >= 100) sizes.push_back(100'000'000);
 
   cpma::util::Table table({"n", "P-tree", "U-PaC", "PMA", "PMA/U-PaC",
-                           "C-PaC", "CPMA", "ACPMA", "CPMA/C-PaC",
-                           "CPMA/PMA"});
+                           "C-PaC", "CPMA", "CPMA/C-PaC", "CPMA/PMA"});
   table.print_header();
   for (uint64_t n : sizes) {
     auto keys = bench::uniform_keys(n, 51);
@@ -72,7 +70,6 @@ int main() {
     double pma = bytes_per_element<cpma::PMA>(keys);
     double cpac = bytes_per_element<cpma::baselines::CPacTree>(keys);
     double cc = bytes_per_element<cpma::CPMA>(keys);
-    double ac = bytes_per_element<cpma::ACPMA>(keys);
     table.cell_u64(n);
     table.cell_ratio(ptree);
     table.cell_ratio(upac);
@@ -80,7 +77,6 @@ int main() {
     table.cell_ratio(pma / upac);
     table.cell_ratio(cpac);
     table.cell_ratio(cc);
-    table.cell_ratio(ac);
     table.cell_ratio(cc / cpac);
     table.cell_ratio(cc / pma);
     table.end_row();
@@ -89,20 +85,16 @@ int main() {
     report("uniform", "pma", n, pma);
     report("uniform", "cpac", n, cpac);
     report("uniform", "cpma", n, cc);
-    report("uniform", "acpma", n, ac);
   }
 
-  // Dense-run rows: the adaptive bitmap selection must at least halve
-  // bytes/key vs the byte-varint CPMA here (engines only; the baselines'
-  // uniform rows above anchor the cross-structure comparison).
+  // Dense-run rows (engines only; the baselines' uniform rows above anchor
+  // the cross-structure comparison).
   for (uint64_t n : sizes) {
     auto keys = dense_run_keys(n, 53);
     double pma = bytes_per_element<cpma::PMA>(keys);
     double cc = bytes_per_element<cpma::CPMA>(keys);
-    double ac = bytes_per_element<cpma::ACPMA>(keys);
     report("dense_runs", "pma", keys.size(), pma);
     report("dense_runs", "cpma", keys.size(), cc);
-    report("dense_runs", "acpma", keys.size(), ac);
   }
   return 0;
 }

@@ -16,9 +16,9 @@
 //
 // A shard body is the raw first key (u64) followed by byte-varint deltas —
 // deliberately NOT the engine's in-memory leaf region. The delta stream is
-// engine-portable (a checkpoint written by a byte-varint CPMA restores into
-// an adaptive-leaf ACPMA and vice versa), it is usually smaller than the
-// leaf region (no empty-slot gaps, no header tags), and restoring through
+// engine-portable (a checkpoint written by a CPMA restores into an
+// uncompressed PMA and vice versa), it is usually smaller than the leaf
+// region (no empty-slot gaps, no per-leaf heads), and restoring through
 // `build_from_sorted` lands the keys in an optimally-packed engine instead
 // of resurrecting whatever density skew the writer had accumulated.
 //

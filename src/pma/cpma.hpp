@@ -9,7 +9,6 @@
 #pragma once
 
 #include "durable/durable.hpp"
-#include "pma/leaf_adaptive.hpp"
 #include "pma/leaf_compressed.hpp"
 #include "pma/leaf_uncompressed.hpp"
 #include "pma/pma.hpp"
@@ -22,9 +21,6 @@ using PMA = pma::PackedMemoryArray<pma::UncompressedLeaf>;
 // Default codec (byte varints); swap the codec by instantiating
 // pma::PackedMemoryArray<pma::CompressedLeaf<YourCodec>> directly.
 using CPMA = pma::PackedMemoryArray<pma::CompressedLeaf<>>;
-// Adaptive per-leaf codec selection (byte-varint or bitmap,
-// chosen per leaf at materialization time; see pma/leaf_adaptive.hpp).
-using ACPMA = pma::PackedMemoryArray<pma::AdaptiveLeaf>;
 
 // Keyspace-sharded compositions: S independent engines behind the same set
 // API (see pma/sharded.hpp for the router/rebalancer design).
@@ -40,6 +36,5 @@ using ServingCPMA = serve::ServingPMA<CPMA>;
 // of the serving layer (see durable/durable.hpp).
 using DurablePMA = durable::DurablePMA<PMA>;
 using DurableCPMA = durable::DurablePMA<CPMA>;
-using DurableACPMA = durable::DurablePMA<ACPMA>;
 
 }  // namespace cpma

@@ -30,19 +30,15 @@
 
 namespace cpma::pma {
 
-// HeadBytes is the content-coordinate cost of a leaf's first key: the 8-byte
-// uncompressed head plus any per-leaf header bytes between the head and the
-// first delta code (the adaptive leaf reserves one for its format tag; this
-// policy leaves the extra bytes untouched, so a wrapper may claim them).
-template <typename Codec = codec::ByteVarintCodec, size_t HeadBytes = 8>
+template <typename Codec = codec::ByteVarintCodec>
 struct CompressedLeaf {
   using key_type = uint64_t;
   using codec_type = Codec;
   using Stream = codec::DeltaStream<Codec>;
   static constexpr const char* name = "cpma";
   static constexpr bool compressed = true;
-  static constexpr size_t kHeadBytes = HeadBytes;
-  static_assert(HeadBytes >= 8, "head stores an uncompressed 8-byte key");
+  // Content-coordinate cost of a leaf's first key: the uncompressed head.
+  static constexpr size_t kHeadBytes = 8;
   static constexpr size_t kBlockKeys = Stream::kBlockKeys;
   // Worst-case byte growth of one insert(): a delta split into two maximal
   // codes (2*kMaxBytes - 1) dominates head displacement (8 + kMaxBytes).

@@ -755,32 +755,10 @@ class PackedMemoryArray {
   }
 
   void redistribute_serial(const ImplicitTree& tree, NodeId node) {
-    uint64_t lo = tree.region_begin(node), hi = tree.region_end(node);
+    const uint64_t lo = tree.region_begin(node), hi = tree.region_end(node);
     std::vector<key_type> keys;
     for (uint64_t l = lo; l < hi; ++l) {
       Leaf::decode_append(leaf_ptr(l), leaf_bytes_, keys);
-    }
-    if constexpr (requires(const uint8_t* p) { Leaf::format_of(p); }) {
-      // Byte density admitted this region, but physical packing can still
-      // need more leaves than it has (dense-island fragmentation: an
-      // island's tail leaf cannot absorb far keys in any format). Escalate
-      // to ancestors until the content provably fits; at the root, resize.
-      while (pack_physical(keys.data(), keys.size(),
-                           leaf_bytes_ - kLeafSlack - 18)
-                 .first > hi - lo) {
-        if (tree.is_root(node)) {
-          resize_rebuild(/*growing=*/true);
-          return;
-        }
-        node = node.parent();
-        uint64_t nlo = tree.region_begin(node), nhi = tree.region_end(node);
-        keys.clear();
-        for (uint64_t l = nlo; l < nhi; ++l) {
-          Leaf::decode_append(leaf_ptr(l), leaf_bytes_, keys);
-        }
-        lo = nlo;
-        hi = nhi;
-      }
     }
     spread(lo, hi, keys.data(), keys.size());
     update_head_index(lo, hi);
@@ -796,51 +774,10 @@ class PackedMemoryArray {
   // Per-key incremental encoded cost used by spread.
   static uint64_t key_cost(key_type prev, key_type key, bool first);
 
-  // Greedy physical packer for multi-format leaves: walks the stream
-  // accumulating each format's exact encoded size (Leaf::StreamSizer) and
-  // cuts a new leaf whenever the SELECTED format's size would exceed
-  // `budget`. Canonical (byte-varint) budgeting under-counts how many keys a
-  // bitmap leaf absorbs, so dense regions must be split by the bytes they
-  // will actually materialize at. Returns {leaves, physical bytes}; when
-  // `cuts` is given, records each leaf's first key index. Only instantiated
-  // for leaves exposing StreamSizer (AdaptiveLeaf).
-  std::pair<uint64_t, uint64_t> pack_physical(
-      const key_type* keys, uint64_t n, uint64_t budget,
-      std::vector<uint64_t>* cuts = nullptr) const {
-    typename Leaf::StreamSizer s{};
-    uint64_t leaves = 0, phys = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      typename Leaf::StreamSizer t = s;
-      t.add(keys[i]);
-      if (s.n > 0 && t.selected_bytes(leaf_bytes_) > budget) {
-        phys += s.selected_bytes(leaf_bytes_);
-        ++leaves;
-        s = {};
-        s.add(keys[i]);
-        if (cuts) cuts->push_back(i);
-      } else {
-        if (s.n == 0 && cuts) cuts->push_back(i);
-        s = t;
-      }
-    }
-    if (s.n > 0) {
-      phys += s.selected_bytes(leaf_bytes_);
-      ++leaves;
-    }
-    return {leaves, phys};
-  }
-
   // Parallel equivalent of Leaf::encoded_size (a serial pass over millions
-  // of keys otherwise shows up in every resize). For multi-format leaves the
-  // estimate is PHYSICAL: the bytes the stream packs into at the current
-  // leaf cap, so resize targets track the compressed footprint dense
-  // regions actually occupy (canonical sizing would over-allocate them and
-  // erase the bitmap space win).
+  // of keys otherwise shows up in every resize).
   uint64_t stream_size_parallel(const key_type* keys, uint64_t n) const {
     if (n == 0) return 0;
-    if constexpr (requires(const uint8_t* p) { Leaf::format_of(p); }) {
-      return pack_physical(keys, n, leaf_bytes_ - kLeafSlack - 18).second;
-    }
     if (n < 8192) return Leaf::encoded_size(keys, n);
     return 8 + par::parallel_sum<uint64_t>(1, n, [&](uint64_t i) {
              return key_cost(keys[i - 1], keys[i], false);

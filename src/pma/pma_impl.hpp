@@ -37,53 +37,6 @@ void PackedMemoryArray<Leaf>::spread(uint64_t lo, uint64_t hi,
   }
   const uint64_t budget_cap = leaf_bytes_ - kLeafSlack - 18;
 
-  // Multi-format leaves: when the canonical (byte-varint) budget would clamp
-  // at the per-leaf cap, the region is denser than canonical accounting can
-  // express — bitmap leaves hold many more keys per byte, so splitting by
-  // canonical cost would cram the tail into one leaf and overflow it
-  // physically. Pack greedily by the EXACT selected-format size instead:
-  // probe at the cap to learn the physical total, then re-pack at an even
-  // per-leaf budget so densities stay balanced.
-  if constexpr (requires(const uint8_t* p) { Leaf::format_of(p); }) {
-    uint64_t canonical = 0;
-    if (n < 8192) {
-      for (uint64_t i = 0; i < n; ++i) {
-        canonical += key_cost(i > 0 ? keys[i - 1] : 0, keys[i], i == 0);
-      }
-    } else {
-      canonical = 8 + par::parallel_sum<uint64_t>(1, n, [&](uint64_t i) {
-                    return key_cost(keys[i - 1], keys[i], false);
-                  });
-    }
-    const uint64_t budget0 =
-        (canonical + Leaf::kHeadBytes * m + m - 1) / m + 2;
-    if (budget0 > budget_cap) {
-      auto [lmin, phys] = pack_physical(keys, n, budget_cap);
-      assert(lmin <= m && "region physically too dense to spread");
-      (void)lmin;
-      uint64_t budget = std::max<uint64_t>(
-          16, phys / m + Leaf::kHeadBytes + 16);
-      budget = std::min(budget, budget_cap);
-      std::vector<uint64_t> cuts;
-      for (;;) {
-        cuts.clear();
-        auto [l2, p2] = pack_physical(keys, n, budget, &cuts);
-        (void)p2;
-        if (l2 <= m || budget >= budget_cap) break;
-        // Per-leaf fragmentation pushed the even budget past m leaves;
-        // retry closer to the cap (the probe guarantees it fits there).
-        budget = std::min<uint64_t>(budget_cap, budget + budget / 4 + 8);
-      }
-      if (cuts.size() > m) cuts.resize(m);  // cap-probe assert covers this
-      for (uint64_t j = 0; j < m; ++j) {
-        const uint64_t s = j < cuts.size() ? cuts[j] : n;
-        const uint64_t e = j + 1 < cuts.size() ? cuts[j + 1] : n;
-        Leaf::write(leaf_ptr(lo + j), leaf_bytes_, keys + s, e - s);
-      }
-      return;
-    }
-  }
-
   // Serial fast path: point-update redistributes spread a few hundred keys;
   // fork-join setup would dominate.
   if (n < 8192) {
@@ -180,16 +133,6 @@ void PackedMemoryArray<Leaf>::rebuild_into(uint64_t new_total_bytes,
   leaf_bytes_ = pick_leaf_bytes(new_total_bytes);
   num_leaves_ = std::max<uint64_t>(
       kMinLeaves, util::div_round_up(new_total_bytes, leaf_bytes_));
-  if constexpr (requires(const uint8_t* p) { Leaf::format_of(p); }) {
-    // Physical packing can need more leaves than byte density predicts: a
-    // dense (bitmap) island's tail leaf cannot absorb far-away keys in any
-    // format, so each island may cost one underfull leaf. Probe the greedy
-    // packer at the per-leaf cap and make sure the array has that many
-    // leaves plus headroom.
-    const uint64_t lmin =
-        pack_physical(keys, n, leaf_bytes_ - kLeafSlack - 18).first;
-    num_leaves_ = std::max(num_leaves_, lmin + (lmin + 3) / 4);
-  }
   // No zero pass: spread() writes every leaf (including empty ones, whose
   // write() zero-fills), so the buffer is first-touched by parallel writers.
   data_.resize(num_leaves_ * leaf_bytes_);
@@ -355,20 +298,12 @@ bool PackedMemoryArray<Leaf>::resize_spread(bool growing, BatchContext* ctx) {
     // their interior terms in parallel and publish their first/last
     // nonempty heads; the cross-chunk boundary terms are added serially
     // (heads are >= 1, so 0 marks "no nonempty leaf in this chunk").
-    // Multi-format leaves (AdaptiveLeaf) also publish the OR of the format
-    // tags they saw: the byte budgets here are canonical (byte-varint)
-    // costs, which only match the bytes the stitch pass actually copies
-    // when every source leaf is byte-varint — any other tag refuses the
-    // direct spread, and the pack+rebuild fallback re-selects formats.
-    constexpr bool kMultiFormat =
-        requires(const uint8_t* p) { Leaf::format_of(p); };
     const uint64_t chunk = 4096;
     const uint64_t num_chunks = util::div_round_up(nl, chunk);
     struct ChunkHeads {
       key_type first = 0;
       key_type last = 0;
       uint64_t excess = 0;
-      uint8_t fmts = 0;
     };
     std::vector<ChunkHeads> heads(num_chunks);
     par::parallel_for(0, num_chunks, [&](uint64_t c) {
@@ -377,11 +312,6 @@ bool PackedMemoryArray<Leaf>::resize_spread(bool growing, BatchContext* ctx) {
       key_type prev = 0;
       for (uint64_t l = lo; l < hi; ++l) {
         if (rs.prefix[l] == 0) continue;  // still raw bytes at this point
-        if constexpr (kMultiFormat) {
-          if (ovf_slot(l) == kNoOverflow) {
-            out.fmts |= Leaf::format_of(leaf_ptr(l));
-          }
-        }
         key_type h = src_head(l);
         if (prev != 0) {
           uint64_t cost = Leaf::delta_bytes(prev, h);
@@ -395,9 +325,7 @@ bool PackedMemoryArray<Leaf>::resize_spread(bool growing, BatchContext* ctx) {
       heads[c] = out;
     }, 1);
     key_type prev = 0;
-    uint8_t all_fmts = 0;
     for (uint64_t c = 0; c < num_chunks; ++c) {
-      all_fmts |= heads[c].fmts;
       if (heads[c].first == 0) continue;  // chunk entirely empty
       if (prev != 0) {
         uint64_t cost = Leaf::delta_bytes(prev, heads[c].first);
@@ -406,7 +334,6 @@ bool PackedMemoryArray<Leaf>::resize_spread(bool growing, BatchContext* ctx) {
       join_excess += heads[c].excess;
       prev = heads[c].last;
     }
-    if (all_fmts != 0) return false;  // non-canonical content present
   }
   const uint64_t total = par::exclusive_scan_inplace(rs.prefix.data(), nl);
   rs.prefix[nl] = total;

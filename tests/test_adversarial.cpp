@@ -13,7 +13,6 @@
 #include "pma/cpma.hpp"
 #include "util/random.hpp"
 
-using cpma::ACPMA;
 using cpma::CPMA;
 using cpma::PMA;
 using cpma::util::Rng;
@@ -27,7 +26,7 @@ void expect_ok(const T& p) {
 template <typename T>
 class AdversarialTest : public ::testing::Test {};
 
-using Engines = ::testing::Types<PMA, CPMA, ACPMA>;
+using Engines = ::testing::Types<PMA, CPMA>;
 TYPED_TEST_SUITE(AdversarialTest, Engines);
 
 TYPED_TEST(AdversarialTest, AscendingPointInserts) {
@@ -142,10 +141,10 @@ TYPED_TEST(AdversarialTest, RepeatedIdenticalBatches) {
 
 TYPED_TEST(AdversarialTest, DenseRunsWithSparseGaps) {
   // Alternating fully-dense runs (consecutive keys — worst case for delta
-  // chains, best case for bitmap leaves) and huge gaps (10-byte varints).
-  // Stresses the adaptive engine's format selection at both extremes and
-  // the boundaries where a leaf straddles a run edge; interleaved point
-  // deletes then punch holes into the dense regions.
+  // chains) and huge gaps (10-byte varints). Stresses byte-density
+  // balancing at both extremes and the boundaries where a leaf straddles a
+  // run edge; interleaved point deletes then punch holes into the dense
+  // regions.
   TypeParam p;
   std::set<uint64_t> ref;
   Rng r(17);

@@ -1,5 +1,5 @@
 // Chaos suite: randomized crash-recovery schedules for DurablePMA, typed
-// over all three engines (PMA / CPMA / ACPMA), differential against a
+// over both engines (PMA / CPMA), differential against a
 // std::set oracle.
 //
 // THE ORACLE. Every write in a schedule is a batch, and every applied
@@ -175,7 +175,7 @@ void verify_recovery(MemVfs& vfs, const DurableSettings& settings,
 
 template <typename E>
 class Chaos : public ::testing::Test {};
-using Engines = ::testing::Types<cpma::PMA, cpma::CPMA, cpma::ACPMA>;
+using Engines = ::testing::Types<cpma::PMA, cpma::CPMA>;
 TYPED_TEST_SUITE(Chaos, Engines);
 
 // Clean I/O, two crash generations per schedule: the second window reuses

@@ -1,5 +1,4 @@
-// Randomized differential harness: drives PMA, CPMA, ACPMA, and std::set
-// through
+// Randomized differential harness: drives PMA, CPMA, and std::set through
 // identical interleaved workloads (point inserts/removes, batch
 // inserts/removes, successor probes, bounded range scans) and asserts
 // elementwise parity plus structural invariants after every phase. This is
@@ -16,35 +15,29 @@
 #include "pma/cpma.hpp"
 #include "util/random.hpp"
 
-using cpma::ACPMA;
 using cpma::CPMA;
 using cpma::PMA;
 using cpma::util::Rng;
 
 namespace {
 
-// All four structures under one roof; every mutation goes through here so
-// the operation streams cannot diverge. ACPMA exercises the adaptive
-// per-leaf codec selection (bitmap leaves in the dense spaces, byte-varint
-// in the sparse ones) on the exact same stream as the canonical engines.
+// All three structures under one roof; every mutation goes through here so
+// the operation streams cannot diverge.
 struct Trio {
   PMA pma;
   CPMA cpma;
-  ACPMA acpma;
   std::set<uint64_t> ref;
 
   void insert(uint64_t k) {
     bool expect = ref.insert(k).second;
     ASSERT_EQ(pma.insert(k), expect) << "PMA insert(" << k << ")";
     ASSERT_EQ(cpma.insert(k), expect) << "CPMA insert(" << k << ")";
-    ASSERT_EQ(acpma.insert(k), expect) << "ACPMA insert(" << k << ")";
   }
 
   void remove(uint64_t k) {
     bool expect = ref.erase(k) == 1;
     ASSERT_EQ(pma.remove(k), expect) << "PMA remove(" << k << ")";
     ASSERT_EQ(cpma.remove(k), expect) << "CPMA remove(" << k << ")";
-    ASSERT_EQ(acpma.remove(k), expect) << "ACPMA remove(" << k << ")";
   }
 
   void insert_batch(std::vector<uint64_t> batch) {
@@ -52,9 +45,7 @@ struct Trio {
     for (uint64_t k : batch) expect += ref.insert(k).second ? 1 : 0;
     std::vector<uint64_t> copy = batch;  // batch calls may permute the input
     ASSERT_EQ(pma.insert_batch(copy.data(), copy.size()), expect);
-    std::vector<uint64_t> copy2 = batch;
-    ASSERT_EQ(cpma.insert_batch(copy2.data(), copy2.size()), expect);
-    ASSERT_EQ(acpma.insert_batch(batch.data(), batch.size()), expect);
+    ASSERT_EQ(cpma.insert_batch(batch.data(), batch.size()), expect);
   }
 
   void remove_batch(std::vector<uint64_t> batch) {
@@ -62,9 +53,7 @@ struct Trio {
     for (uint64_t k : batch) expect += ref.erase(k);
     std::vector<uint64_t> copy = batch;
     ASSERT_EQ(pma.remove_batch(copy.data(), copy.size()), expect);
-    std::vector<uint64_t> copy2 = batch;
-    ASSERT_EQ(cpma.remove_batch(copy2.data(), copy2.size()), expect);
-    ASSERT_EQ(acpma.remove_batch(batch.data(), batch.size()), expect);
+    ASSERT_EQ(cpma.remove_batch(batch.data(), batch.size()), expect);
   }
 
   // Full elementwise parity (iterator order + map order) and invariants.
@@ -72,11 +61,9 @@ struct Trio {
     std::string err;
     ASSERT_TRUE(pma.check_invariants(&err)) << "PMA: " << err;
     ASSERT_TRUE(cpma.check_invariants(&err)) << "CPMA: " << err;
-    ASSERT_TRUE(acpma.check_invariants(&err)) << "ACPMA: " << err;
 
     ASSERT_EQ(pma.size(), ref.size());
     ASSERT_EQ(cpma.size(), ref.size());
-    ASSERT_EQ(acpma.size(), ref.size());
 
     std::vector<uint64_t> expect(ref.begin(), ref.end());
     std::vector<uint64_t> got_pma;
@@ -85,23 +72,17 @@ struct Trio {
     std::vector<uint64_t> got_cpma;
     cpma.map([&](uint64_t k) { got_cpma.push_back(k); });
     ASSERT_EQ(got_cpma, expect) << "CPMA map order diverged";
-    std::vector<uint64_t> got_acpma;
-    acpma.map([&](uint64_t k) { got_acpma.push_back(k); });
-    ASSERT_EQ(got_acpma, expect) << "ACPMA map order diverged";
 
     uint64_t sum = 0;
     for (uint64_t k : expect) sum += k;
     ASSERT_EQ(pma.sum(), sum);
     ASSERT_EQ(cpma.sum(), sum);
-    ASSERT_EQ(acpma.sum(), sum);
 
     if (!ref.empty()) {
       ASSERT_EQ(pma.min(), *ref.begin());
       ASSERT_EQ(cpma.min(), *ref.begin());
-      ASSERT_EQ(acpma.min(), *ref.begin());
       ASSERT_EQ(pma.max(), *ref.rbegin());
       ASSERT_EQ(cpma.max(), *ref.rbegin());
-      ASSERT_EQ(acpma.max(), *ref.rbegin());
     }
   }
 
@@ -112,11 +93,9 @@ struct Trio {
         it == ref.end() ? std::nullopt : std::optional<uint64_t>(*it);
     ASSERT_EQ(pma.successor(probe), expect) << "probe=" << probe;
     ASSERT_EQ(cpma.successor(probe), expect) << "probe=" << probe;
-    ASSERT_EQ(acpma.successor(probe), expect) << "probe=" << probe;
 
     ASSERT_EQ(pma.has(probe), ref.count(probe) == 1);
     ASSERT_EQ(cpma.has(probe), ref.count(probe) == 1);
-    ASSERT_EQ(acpma.has(probe), ref.count(probe) == 1);
 
     const uint64_t len = 64;
     std::vector<uint64_t> expect_range;
@@ -133,11 +112,6 @@ struct Trio {
                               len);
     ASSERT_EQ(n, expect_range.size());
     ASSERT_EQ(got, expect_range) << "CPMA range scan diverged at " << probe;
-    got.clear();
-    n = acpma.map_range_length([&](uint64_t k) { got.push_back(k); }, probe,
-                               len);
-    ASSERT_EQ(n, expect_range.size());
-    ASSERT_EQ(got, expect_range) << "ACPMA range scan diverged at " << probe;
   }
 };
 
@@ -233,7 +207,6 @@ TEST(Differential, DrainToEmpty) {
   }
   ASSERT_TRUE(t.pma.empty());
   ASSERT_TRUE(t.cpma.empty());
-  ASSERT_TRUE(t.acpma.empty());
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Durability unit suite: the pieces under src/durable/ individually —
 // CRC32C vectors, WAL framing + tolerant scanning, checkpoint round trips
-// (typed over all three leaf formats), the MemVfs crash model, FaultyVfs
-// injection accounting, recovery over an unreadable directory, DurablePMA
-// on the production PosixVfs — plus the serving-layer seams it relies on:
-// bounded backpressured ingest queues, the write-observer veto, epoch
-// participant overflow, and ShardedPMA::restore_from_checkpoint.
+// (typed over both engines, and across them), the MemVfs crash model,
+// FaultyVfs injection accounting, recovery over an unreadable directory,
+// DurablePMA on the production PosixVfs — plus the serving-layer seams it
+// relies on: bounded backpressured ingest queues, the write-observer veto,
+// epoch participant overflow, and ShardedPMA::restore_from_checkpoint.
 //
 // The randomized kill-point / fault-schedule coverage lives in
 // test_chaos.cpp; this file pins down deterministic contracts.
@@ -279,7 +279,7 @@ TEST(RestoreHook, RestoresLayoutAndContent) {
 
 template <typename E>
 class Durable : public ::testing::Test {};
-using Engines = ::testing::Types<cpma::PMA, cpma::CPMA, cpma::ACPMA>;
+using Engines = ::testing::Types<cpma::PMA, cpma::CPMA>;
 TYPED_TEST_SUITE(Durable, Engines);
 
 TYPED_TEST(Durable, CheckpointRoundTripsLeafFormat) {
@@ -288,7 +288,7 @@ TYPED_TEST(Durable, CheckpointRoundTripsLeafFormat) {
   {
     DurablePMA<TypeParam> d(vfs, "db",
                             test_settings(4, FsyncPolicy::kAlways));
-    // Dense + sparse mix so adaptive leaves actually pick both formats.
+    // Dense + sparse mix: 1-byte codes beside multi-byte ones.
     std::vector<uint64_t> batch;
     for (uint64_t i = 0; i < 4000; ++i) batch.push_back(i + 100);
     for (uint64_t i = 0; i < 4000; ++i) batch.push_back(key_at(i));
@@ -429,6 +429,55 @@ TYPED_TEST(Durable, DurableLsnWatermark) {
   ASSERT_TRUE(d.sync_wal().ok());
   EXPECT_EQ(d.durable_lsn(), d.last_lsn());
   EXPECT_GT(d.last_lsn(), 0u);
+}
+
+// Checkpoint bodies and WAL records carry no engine layout (checkpoint.hpp),
+// so a directory written by one engine reopens under another: `To` recovers
+// exactly the key set `From` left, checkpoint plus synced WAL tail.
+template <typename From, typename To>
+void expect_cross_engine_reopen() {
+  MemVfs vfs;
+  std::set<uint64_t> oracle;
+  uint64_t checkpointed = 0;
+  {
+    DurablePMA<From> d(vfs, "db", test_settings(4, FsyncPolicy::kAlways));
+    std::vector<uint64_t> batch;
+    for (uint64_t i = 0; i < 4000; ++i) batch.push_back(i + 100);  // dense
+    for (uint64_t i = 0; i < 4000; ++i) batch.push_back(key_at(i));
+    oracle.insert(batch.begin(), batch.end());
+    d.insert_batch(batch);
+    ASSERT_TRUE(d.checkpoint().ok());
+    checkpointed = oracle.size();
+    for (uint64_t i = 4000; i < 4300; ++i) {
+      d.insert(key_at(i));
+      oracle.insert(key_at(i));
+    }
+    for (uint64_t i = 0; i < 200; ++i) {
+      d.remove(100 + 7 * i);
+      oracle.erase(100 + 7 * i);
+    }
+    ASSERT_TRUE(d.sync_wal().ok());
+  }
+  vfs.crash(11);
+  DurablePMA<To> d(vfs, "db", test_settings(4, FsyncPolicy::kAlways));
+  const auto& r = d.recovery_report();
+  EXPECT_TRUE(r.recovered_checkpoint);
+  EXPECT_EQ(r.checkpoint_keys, checkpointed);
+  EXPECT_GT(r.records_replayed, 0u);
+  EXPECT_EQ(d.size(), oracle.size());
+  std::vector<uint64_t> got;
+  d.snapshot().map([&](uint64_t k) { got.push_back(k); });
+  EXPECT_EQ(got, collect(oracle));
+  std::string err;
+  EXPECT_TRUE(d.serving().store().check_invariants(&err)) << err;
+}
+
+TEST(DurableCrossEngine, PmaCheckpointReopensAsCpma) {
+  expect_cross_engine_reopen<cpma::PMA, cpma::CPMA>();
+}
+
+TEST(DurableCrossEngine, CpmaCheckpointReopensAsPma) {
+  expect_cross_engine_reopen<cpma::CPMA, cpma::PMA>();
 }
 
 // A WAL that cannot write vetoes applies instead of letting unlogged

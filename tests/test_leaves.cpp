@@ -1,5 +1,5 @@
 // Typed tests exercising every leaf policy (uncompressed, compressed over
-// two codecs, adaptive) through the same scenarios: insert/remove/lookup
+// two codecs) through the same scenarios: insert/remove/lookup
 // against a reference std::set, encode/decode roundtrips, cursor iteration,
 // and the policy invariants the engine relies on (byte accounting, zero-fill
 // tails).
@@ -9,7 +9,6 @@
 #include <set>
 #include <vector>
 
-#include "pma/leaf_adaptive.hpp"
 #include "pma/leaf_compressed.hpp"
 #include "pma/leaf_uncompressed.hpp"
 #include "scalar_only_codec.hpp"
@@ -44,7 +43,7 @@ class LeafTest : public ::testing::Test {
 // generic fallbacks, the path a codec without bulk hooks takes.
 using Policies =
     ::testing::Types<pma::UncompressedLeaf, pma::CompressedLeaf<>,
-                     pma::CompressedLeaf<ScalarOnlyCodec>, pma::AdaptiveLeaf>;
+                     pma::CompressedLeaf<ScalarOnlyCodec>>;
 TYPED_TEST_SUITE(LeafTest, Policies);
 
 TYPED_TEST(LeafTest, EmptyLeaf) {
@@ -511,135 +510,6 @@ TEST(CompressedLeafOnly, StreamFillingTheLeafExactlyUsesEveryByte) {
   std::vector<uint64_t> got;
   L::decode_append(buf.data(), cap, got);
   EXPECT_EQ(got, keys);
-}
-
-// AdaptiveLeaf's format rule: the bitmap is chosen for two or more keys
-// when it is no larger than byte-varint and fits the leaf.
-namespace {
-
-using ALeaf = pma::AdaptiveLeaf;
-
-std::vector<uint64_t> key_run(uint64_t first, size_t n, uint64_t step) {
-  std::vector<uint64_t> keys(n);
-  for (size_t i = 0; i < n; ++i) keys[i] = first + i * step;
-  return keys;
-}
-
-std::vector<uint64_t> decode_adaptive(const std::vector<uint8_t>& buf) {
-  std::vector<uint64_t> out;
-  ALeaf::decode_append(buf.data(), buf.size(), out);
-  return out;
-}
-
-}  // namespace
-
-TEST(AdaptiveLeafOnly, ChooseFormatBoundaries) {
-  EXPECT_EQ(ALeaf::choose_format(2, 100, 100, 100), ALeaf::kBitmap);  // tie
-  EXPECT_EQ(ALeaf::choose_format(2, 100, 101, 200), ALeaf::kByteVarint);
-  EXPECT_EQ(ALeaf::choose_format(2, 100, 50, 49), ALeaf::kByteVarint);
-  EXPECT_EQ(ALeaf::choose_format(1, 100, 50, 200), ALeaf::kByteVarint);
-  EXPECT_EQ(ALeaf::choose_format(0, 0, 0, 200), ALeaf::kByteVarint);
-}
-
-TEST(AdaptiveLeafOnly, DenseRunSelectsTheSmallerBitmap) {
-  const auto keys = key_run(4096, 64, 1);
-  std::vector<uint8_t> buf(512, 0);
-  ALeaf::write(buf.data(), buf.size(), keys.data(), keys.size());
-  EXPECT_EQ(ALeaf::format_of(buf.data()), ALeaf::kBitmap);
-  EXPECT_LT(ALeaf::used_bytes(buf.data(), buf.size()),
-            ALeaf::encoded_size(keys.data(), keys.size()));
-  EXPECT_EQ(decode_adaptive(buf), keys);
-}
-
-TEST(AdaptiveLeafOnly, SingleKeyAndSparseKeysStayByteVarint) {
-  std::vector<uint8_t> buf(512, 0);
-  const uint64_t one = 4096;
-  ALeaf::write(buf.data(), buf.size(), &one, 1);
-  EXPECT_EQ(ALeaf::format_of(buf.data()), ALeaf::kByteVarint);
-  EXPECT_EQ(ALeaf::used_bytes(buf.data(), buf.size()),
-            ALeaf::encoded_size(&one, 1));
-  // One key per 64-key bitmap window: a pair per key costs far more than
-  // the two-byte deltas.
-  const auto sparse = key_run(10, 20, 1000);
-  ALeaf::write(buf.data(), buf.size(), sparse.data(), sparse.size());
-  EXPECT_EQ(ALeaf::format_of(buf.data()), ALeaf::kByteVarint);
-  EXPECT_EQ(ALeaf::used_bytes(buf.data(), buf.size()),
-            ALeaf::encoded_size(sparse.data(), sparse.size()));
-  EXPECT_EQ(decode_adaptive(buf), sparse);
-}
-
-TEST(AdaptiveLeafOnly, BitmapHoldsARunByteVarintCannotFit) {
-  // 200 consecutive keys cost 9 + 199 bytes as byte-varint but span four
-  // bitmap windows; a 64-byte leaf holds them only as a bitmap.
-  const auto keys = key_run(1 << 20, 200, 1);
-  ASSERT_GT(ALeaf::encoded_size(keys.data(), keys.size()), 64u);
-  std::vector<uint8_t> buf(64, 0);
-  ALeaf::write(buf.data(), buf.size(), keys.data(), keys.size());
-  EXPECT_EQ(ALeaf::format_of(buf.data()), ALeaf::kBitmap);
-  EXPECT_LE(ALeaf::used_bytes(buf.data(), buf.size()), buf.size());
-  EXPECT_EQ(ALeaf::element_count(buf.data(), buf.size()), keys.size());
-  EXPECT_EQ(decode_adaptive(buf), keys);
-}
-
-TEST(AdaptiveLeafOnly, BitmapLeafRefusesMergeTailUntouched) {
-  // The engine's materializing path re-selects the format instead.
-  const auto keys = key_run(4096, 64, 1);
-  std::vector<uint8_t> buf(512, 0);
-  ALeaf::write(buf.data(), buf.size(), keys.data(), keys.size());
-  ASSERT_EQ(ALeaf::format_of(buf.data()), ALeaf::kBitmap);
-  const std::vector<uint8_t> before = buf;
-  const std::vector<uint64_t> batch{4096 + 64, 4096 + 65};
-  ALeaf::MergeBuf mb;
-  size_t need = 0;
-  uint64_t added = 0;
-  EXPECT_FALSE(ALeaf::merge_tail(buf.data(), buf.size(), batch.data(),
-                                 batch.size(), buf.size() - 24, mb, &need,
-                                 &added));
-  EXPECT_EQ(buf, before);
-}
-
-TEST(AdaptiveLeafOnly, BitmapRemoveTailKeepsBitmapFormat) {
-  // A subset never encodes larger in the same format, so removal rewrites
-  // the survivors as a bitmap rather than risk a byte-varint overflow.
-  const auto keys = key_run(1 << 20, 200, 1);
-  std::vector<uint8_t> buf(64, 0);
-  ALeaf::write(buf.data(), buf.size(), keys.data(), keys.size());
-  ASSERT_EQ(ALeaf::format_of(buf.data()), ALeaf::kBitmap);
-  std::vector<uint64_t> batch, survivors;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    (i % 3 == 0 ? batch : survivors).push_back(keys[i]);
-  }
-  ALeaf::MergeBuf mb;
-  size_t need = 0;
-  uint64_t removed = 0;
-  ASSERT_TRUE(ALeaf::remove_tail(buf.data(), buf.size(), batch.data(),
-                                 batch.size(), mb, &need, &removed));
-  EXPECT_EQ(removed, batch.size());
-  EXPECT_EQ(ALeaf::format_of(buf.data()), ALeaf::kBitmap);
-  EXPECT_EQ(need, ALeaf::used_bytes(buf.data(), buf.size()));
-  EXPECT_EQ(decode_adaptive(buf), survivors);
-}
-
-TEST(AdaptiveLeafOnly, ByteVarintFormatIsStickyUnderMergeTail) {
-  // merge_tail splices in place without re-selecting: a byte-varint leaf
-  // that turns dense stays byte-varint until the next write().
-  const std::vector<uint64_t> base{4096, 4096 + 5000};
-  std::vector<uint8_t> buf(512, 0);
-  ALeaf::write(buf.data(), buf.size(), base.data(), base.size());
-  ASSERT_EQ(ALeaf::format_of(buf.data()), ALeaf::kByteVarint);
-  const auto batch = key_run(4097, 63, 1);
-  ALeaf::MergeBuf mb;
-  size_t need = 0;
-  uint64_t added = 0;
-  ASSERT_TRUE(ALeaf::merge_tail(buf.data(), buf.size(), batch.data(),
-                                batch.size(), buf.size() - 24, mb, &need,
-                                &added));
-  EXPECT_EQ(added, batch.size());
-  EXPECT_EQ(ALeaf::format_of(buf.data()), ALeaf::kByteVarint);
-  EXPECT_EQ(need, ALeaf::used_bytes(buf.data(), buf.size()));
-  auto want = key_run(4096, 64, 1);
-  want.push_back(4096 + 5000);
-  EXPECT_EQ(decode_adaptive(buf), want);
 }
 
 TEST(UncompressedLeafOnly, FixedEightBytesPerElement) {

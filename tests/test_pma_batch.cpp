@@ -12,7 +12,6 @@
 #include "util/random.hpp"
 #include "util/zipf.hpp"
 
-using cpma::ACPMA;
 using cpma::CPMA;
 using cpma::PMA;
 using cpma::util::Rng;
@@ -20,7 +19,7 @@ using cpma::util::Rng;
 template <typename T>
 class PmaBatchTest : public ::testing::Test {};
 
-using Engines = ::testing::Types<PMA, CPMA, ACPMA>;
+using Engines = ::testing::Types<PMA, CPMA>;
 TYPED_TEST_SUITE(PmaBatchTest, Engines);
 
 template <typename T>

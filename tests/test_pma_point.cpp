@@ -9,7 +9,6 @@
 #include "pma/cpma.hpp"
 #include "util/random.hpp"
 
-using cpma::ACPMA;
 using cpma::CPMA;
 using cpma::PMA;
 using cpma::util::Rng;
@@ -17,7 +16,7 @@ using cpma::util::Rng;
 template <typename T>
 class PmaPointTest : public ::testing::Test {};
 
-using Engines = ::testing::Types<PMA, CPMA, ACPMA>;
+using Engines = ::testing::Types<PMA, CPMA>;
 TYPED_TEST_SUITE(PmaPointTest, Engines);
 
 template <typename T>

@@ -12,7 +12,6 @@
 #include "pma/cpma.hpp"
 #include "util/random.hpp"
 
-using cpma::ACPMA;
 using cpma::CPMA;
 using cpma::PMA;
 using cpma::util::Rng;
@@ -232,7 +231,7 @@ INSTANTIATE_TEST_SUITE_P(Factors, GrowthFactor,
 template <typename T>
 class BatchEdgeCases : public ::testing::Test {};
 
-using Engines = ::testing::Types<PMA, CPMA, ACPMA>;
+using Engines = ::testing::Types<PMA, CPMA>;
 TYPED_TEST_SUITE(BatchEdgeCases, Engines);
 
 template <typename T>

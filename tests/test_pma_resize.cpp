@@ -13,7 +13,6 @@
 #include "pma/cpma.hpp"
 #include "util/random.hpp"
 
-using cpma::ACPMA;
 using cpma::CPMA;
 using cpma::PMA;
 using cpma::util::Rng;
@@ -21,7 +20,7 @@ using cpma::util::Rng;
 template <typename T>
 class PmaResizeTest : public ::testing::Test {};
 
-using Engines = ::testing::Types<PMA, CPMA, ACPMA>;
+using Engines = ::testing::Types<PMA, CPMA>;
 TYPED_TEST_SUITE(PmaResizeTest, Engines);
 
 namespace {

@@ -252,12 +252,12 @@ TEST(Eytzinger, RepairMatchesRebuild) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine differential (pma / cpma / acpma).
+// Engine differential (pma / cpma).
 // ---------------------------------------------------------------------------
 
 template <typename E>
 class QueryBatch : public ::testing::Test {};
-using Engines = ::testing::Types<cpma::PMA, cpma::CPMA, cpma::ACPMA>;
+using Engines = ::testing::Types<cpma::PMA, cpma::CPMA>;
 TYPED_TEST_SUITE(QueryBatch, Engines);
 
 TYPED_TEST(QueryBatch, RandomizedDifferential) {

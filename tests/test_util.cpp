@@ -1,11 +1,14 @@
-// Unit tests for the utility layer: bit tricks, RNGs, zipfian generator.
+// Unit tests for the utility layer: bit tricks, RNGs, zipfian generator,
+// environment knobs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <set>
 
 #include "util/bits.hpp"
+#include "util/env.hpp"
 #include "util/random.hpp"
 #include "util/zipf.hpp"
 
@@ -136,4 +139,43 @@ TEST(Zipf, KeysNonzeroAndWithinBits) {
 TEST(Zipf, DeterministicAcrossCalls) {
   u::ZipfGenerator z(1 << 16, 0.99, 11);
   EXPECT_EQ(z.key(5), z.key(5));
+}
+
+// A malformed or out-of-range value reads as the fallback, never as a
+// prefix or a wrapped number. The variable is test-only, so no library
+// knob is touched.
+TEST(Env, U64AcceptsOnlyWholeInRangeNumbers) {
+  constexpr const char* kVar = "CPMA_TEST_ENV_KNOB";
+  auto read = [&](const char* value) {
+    ::setenv(kVar, value, 1);
+    return u::env_u64(kVar, 7);
+  };
+  ::unsetenv(kVar);
+  EXPECT_EQ(u::env_u64(kVar, 7), 7u);
+  EXPECT_EQ(read(""), 7u);
+  EXPECT_EQ(read("12"), 12u);
+  EXPECT_EQ(read("0"), 0u);
+  EXPECT_EQ(read("18446744073709551615"), ~uint64_t{0});
+  EXPECT_EQ(read("1M"), 7u);
+  EXPECT_EQ(read("abc"), 7u);
+  EXPECT_EQ(read("-1"), 7u);
+  EXPECT_EQ(read(" 12"), 7u);
+  EXPECT_EQ(read("18446744073709551616"), 7u);
+  ::unsetenv(kVar);
+}
+
+TEST(Env, DoubleAcceptsOnlyWholeFiniteNumbers) {
+  constexpr const char* kVar = "CPMA_TEST_ENV_KNOB";
+  auto read = [&](const char* value) {
+    ::setenv(kVar, value, 1);
+    return u::env_double(kVar, 1.5);
+  };
+  EXPECT_EQ(read(""), 1.5);
+  EXPECT_EQ(read("12"), 12.0);
+  EXPECT_EQ(read("0.25"), 0.25);
+  EXPECT_EQ(read("1M"), 1.5);
+  EXPECT_EQ(read("abc"), 1.5);
+  EXPECT_EQ(read("inf"), 1.5);
+  EXPECT_EQ(read("1e999"), 1.5);
+  ::unsetenv(kVar);
 }
