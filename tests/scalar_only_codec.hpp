@@ -3,13 +3,17 @@
 // and leaf operation over it runs the generic scalar fallbacks: the path an
 // alternative codec plugged into CompressedLeaf<Codec> starts on. It shares
 // the byte-varint wire format, so results compare directly against the
-// reference codec.
+// reference codec. ScalarCPMA is the engine over it: the
+// "swap the codec" instantiation that pma/cpma.hpp documents, so the
+// engine-level suites run their scenarios through the scalar fallbacks too.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "codec/varint.hpp"
+#include "pma/leaf_compressed.hpp"
+#include "pma/pma.hpp"
 
 struct ScalarOnlyCodec {
   static constexpr const char* name = "scalar-only";
@@ -27,3 +31,6 @@ struct ScalarOnlyCodec {
     return cpma::codec::varint_skip(src);
   }
 };
+
+using ScalarCPMA =
+    cpma::pma::PackedMemoryArray<cpma::pma::CompressedLeaf<ScalarOnlyCodec>>;

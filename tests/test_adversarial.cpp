@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "pma/cpma.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/random.hpp"
 
 using cpma::CPMA;
@@ -26,7 +27,7 @@ void expect_ok(const T& p) {
 template <typename T>
 class AdversarialTest : public ::testing::Test {};
 
-using Engines = ::testing::Types<PMA, CPMA>;
+using Engines = ::testing::Types<PMA, CPMA, ScalarCPMA>;
 TYPED_TEST_SUITE(AdversarialTest, Engines);
 
 TYPED_TEST(AdversarialTest, AscendingPointInserts) {

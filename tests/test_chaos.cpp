@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "pma/cpma.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/env.hpp"
 #include "util/random.hpp"
 
@@ -175,7 +176,7 @@ void verify_recovery(MemVfs& vfs, const DurableSettings& settings,
 
 template <typename E>
 class Chaos : public ::testing::Test {};
-using Engines = ::testing::Types<cpma::PMA, cpma::CPMA>;
+using Engines = ::testing::Types<cpma::PMA, cpma::CPMA, ScalarCPMA>;
 TYPED_TEST_SUITE(Chaos, Engines);
 
 // Clean I/O, two crash generations per schedule: the second window reuses

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "pma/cpma.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/random.hpp"
 
 using cpma::durable::DurablePMA;
@@ -279,7 +280,7 @@ TEST(RestoreHook, RestoresLayoutAndContent) {
 
 template <typename E>
 class Durable : public ::testing::Test {};
-using Engines = ::testing::Types<cpma::PMA, cpma::CPMA>;
+using Engines = ::testing::Types<cpma::PMA, cpma::CPMA, ScalarCPMA>;
 TYPED_TEST_SUITE(Durable, Engines);
 
 TYPED_TEST(Durable, CheckpointRoundTripsLeafFormat) {

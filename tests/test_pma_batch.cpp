@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "pma/cpma.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/random.hpp"
 #include "util/zipf.hpp"
 
@@ -19,7 +20,7 @@ using cpma::util::Rng;
 template <typename T>
 class PmaBatchTest : public ::testing::Test {};
 
-using Engines = ::testing::Types<PMA, CPMA>;
+using Engines = ::testing::Types<PMA, CPMA, ScalarCPMA>;
 TYPED_TEST_SUITE(PmaBatchTest, Engines);
 
 template <typename T>

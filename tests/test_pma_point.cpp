@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "pma/cpma.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/random.hpp"
 
 using cpma::CPMA;
@@ -16,7 +17,7 @@ using cpma::util::Rng;
 template <typename T>
 class PmaPointTest : public ::testing::Test {};
 
-using Engines = ::testing::Types<PMA, CPMA>;
+using Engines = ::testing::Types<PMA, CPMA, ScalarCPMA>;
 TYPED_TEST_SUITE(PmaPointTest, Engines);
 
 template <typename T>

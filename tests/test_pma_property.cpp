@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "pma/cpma.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/random.hpp"
 
 using cpma::CPMA;
@@ -79,6 +80,66 @@ TEST_P(OpSequence, CpmaMatchesReference) {
   run_op_sequence<CPMA>(seed, space);
 }
 
+TEST_P(OpSequence, ScalarCpmaMatchesReference) {
+  auto [seed, space] = GetParam();
+  run_op_sequence<ScalarCPMA>(seed, space);
+}
+
+// ScalarOnlyCodec writes CPMA's byte-varint format without the bulk decode
+// hooks, and the engine sizes, spreads and resizes leaves from byte counts
+// alone. So one operation stream must leave both engines with the same
+// leaves: the same count, and the same (head, used bytes) profile, which
+// split_key_for_bytes samples. A read path that moved a write decision
+// would show up here as diverging geometry.
+template <typename A, typename B>
+void expect_same_layout(const A& a, const B& b, int step) {
+  ASSERT_EQ(a.size(), b.size()) << "step " << step;
+  ASSERT_EQ(a.num_leaves(), b.num_leaves()) << "step " << step;
+  ASSERT_EQ(a.total_bytes(), b.total_bytes()) << "step " << step;
+  const uint64_t span = a.num_leaves() * a.leaf_bytes();
+  for (uint64_t i = 0; i <= 32; ++i) {
+    const uint64_t target = span * i / 32;
+    ASSERT_EQ(a.split_key_for_bytes(target), b.split_key_for_bytes(target))
+        << "step " << step << " target " << target;
+  }
+}
+
+TEST_P(OpSequence, ScalarCpmaKeepsCpmaLayout) {
+  auto [seed, space] = GetParam();
+  CPMA a;
+  ScalarCPMA b;
+  Rng r(seed);
+  for (int step = 0; step < 3000; ++step) {
+    int op = static_cast<int>(r.next() % 8);
+    if (op < 3) {
+      uint64_t k = r.next() % space;
+      ASSERT_EQ(a.insert(k), b.insert(k));
+    } else if (op < 5) {
+      uint64_t k = r.next() % space;
+      ASSERT_EQ(a.remove(k), b.remove(k));
+    } else if (op == 5) {
+      std::vector<uint64_t> batch(1 + r.next() % 800);
+      for (auto& k : batch) k = r.next() % space;
+      std::vector<uint64_t> copy = batch;  // batch calls may permute the input
+      ASSERT_EQ(a.insert_batch(batch.data(), batch.size()),
+                b.insert_batch(copy.data(), copy.size()));
+    } else if (op == 6) {
+      std::vector<uint64_t> batch(1 + r.next() % 400);
+      for (auto& k : batch) k = r.next() % space;
+      std::vector<uint64_t> copy = batch;
+      ASSERT_EQ(a.remove_batch(batch.data(), batch.size()),
+                b.remove_batch(copy.data(), copy.size()));
+    } else {
+      expect_same_layout(a, b, step);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  expect_same_layout(a, b, -1);
+  if (::testing::Test::HasFatalFailure()) return;
+  std::string err;
+  ASSERT_TRUE(b.check_invariants(&err)) << err;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndSpaces, OpSequence,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u),
@@ -109,6 +170,9 @@ void check_density(uint64_t n) {
 
 TEST_P(DensityAfterLoad, Pma) { check_density<PMA>(GetParam()); }
 TEST_P(DensityAfterLoad, Cpma) { check_density<CPMA>(GetParam()); }
+TEST_P(DensityAfterLoad, ScalarCpma) {
+  check_density<ScalarCPMA>(GetParam());
+}
 
 INSTANTIATE_TEST_SUITE_P(Sizes, DensityAfterLoad,
                          ::testing::Values(1000u, 10000u, 100000u, 1000000u));
@@ -231,7 +295,7 @@ INSTANTIATE_TEST_SUITE_P(Factors, GrowthFactor,
 template <typename T>
 class BatchEdgeCases : public ::testing::Test {};
 
-using Engines = ::testing::Types<PMA, CPMA>;
+using Engines = ::testing::Types<PMA, CPMA, ScalarCPMA>;
 TYPED_TEST_SUITE(BatchEdgeCases, Engines);
 
 template <typename T>

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "pma/cpma.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/random.hpp"
 
 using cpma::CPMA;
@@ -20,7 +21,7 @@ using cpma::util::Rng;
 template <typename T>
 class PmaResizeTest : public ::testing::Test {};
 
-using Engines = ::testing::Types<PMA, CPMA>;
+using Engines = ::testing::Types<PMA, CPMA, ScalarCPMA>;
 TYPED_TEST_SUITE(PmaResizeTest, Engines);
 
 namespace {

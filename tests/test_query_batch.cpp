@@ -25,6 +25,7 @@
 #include "graph/streaming.hpp"
 #include "pma/cpma.hpp"
 #include "pma/head_eytzinger.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/random.hpp"
 
 using cpma::pma::EytzingerHeadIndex;
@@ -257,7 +258,7 @@ TEST(Eytzinger, RepairMatchesRebuild) {
 
 template <typename E>
 class QueryBatch : public ::testing::Test {};
-using Engines = ::testing::Types<cpma::PMA, cpma::CPMA>;
+using Engines = ::testing::Types<cpma::PMA, cpma::CPMA, ScalarCPMA>;
 TYPED_TEST_SUITE(QueryBatch, Engines);
 
 TYPED_TEST(QueryBatch, RandomizedDifferential) {

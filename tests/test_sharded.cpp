@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "pma/cpma.hpp"
+#include "scalar_only_codec.hpp"
 #include "util/random.hpp"
 
 using cpma::pma::ShardedPMA;
@@ -29,8 +30,9 @@ struct ShardedCase {
   using Engine = E;
 };
 
-using Engines =
-    ::testing::Types<ShardedCase<cpma::PMA>, ShardedCase<cpma::CPMA>>;
+using Engines = ::testing::Types<ShardedCase<cpma::PMA>,
+                                 ShardedCase<cpma::CPMA>,
+                                 ShardedCase<ScalarCPMA>>;
 
 template <typename Case>
 class Sharded : public ::testing::Test {};
